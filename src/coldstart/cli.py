@@ -1,8 +1,11 @@
 """Command-line pipeline: ingest -> fit -> sweep -> curves -> threshold.
 
-Every stage reads the raw input it needs, writes file artifacts into the
-output directory, and can be re-run independently. A flat ``key = value``
-config file provides defaults that individual flags override; each run
+A command runs one stage, or all of them for ``pipeline``. It checks its
+inputs, parses ``--input`` once and hands the matrix to every stage that
+needs it; each stage writes file artifacts into the output directory and
+can be re-run independently. ``curves`` reads the model ``fit`` left there
+and ``threshold`` the curves ``curves`` left there. A flat ``key = value``
+config file provides defaults that individual flags override; each command
 writes the fully resolved config next to its outputs, so any artifact can
 be regenerated from the directory alone.
 
@@ -75,6 +78,11 @@ class RunConfig:
             raise UsageError("threads must be >= 0 (0 = auto)")
         if self.breakpoint_method not in (xp.SEGMENTED_LINEAR, xp.KNEEDLE, xp.EXP_TANGENT):
             raise UsageError(f"unknown breakpoint method {self.breakpoint_method!r}")
+        try:
+            self.kmeans_template()
+            self.eval_config()
+        except ValueError as e:
+            raise UsageError(str(e)) from None
 
     def resolved_ordering(self) -> ds.PrefixOrdering:
         if self.ordering == "by_timestamp":
@@ -228,30 +236,16 @@ def _load_matrix(cfg: RunConfig) -> ds.RatingMatrix:
     return ds.build_matrix(events)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    """Create the output directory and record the config in it.
-
-    Stages call this only after their inputs have been validated, so a
-    usage error leaves no directory or file behind.
-    """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(cfg, out)
-    return out
-
-
-def _load_model(cfg: RunConfig, out: Path, m: ds.RatingMatrix) -> km.ClusterModel:
-    model_path = out / "model.txt"
-    if not model_path.exists():
-        raise UsageError(f"missing model file: {model_path} (run `fit` first)")
-    return km.load_model(model_path, m)
+def _curve_cohort(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
+    """Users with at least ``min_ratings`` ratings; a usage error when there are none."""
+    eligible = np.flatnonzero(m.row_lengths() >= cfg.min_ratings)
+    if len(eligible) == 0:
+        raise UsageError(f"no users with >= {cfg.min_ratings} ratings to sample from")
+    return eligible
 
 
 def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
-    lengths = m.row_lengths()
-    eligible = np.flatnonzero(lengths >= cfg.min_ratings)
-    if len(eligible) == 0:
-        raise UsageError(f"no users with >= {cfg.min_ratings} ratings to sample from")
+    eligible = _curve_cohort(cfg, m)
     n = cfg.sample_size
     if n > len(eligible):
         print(
@@ -263,30 +257,18 @@ def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
     return np.asarray(ds.sample_users(m, n, cfg.seed, among=eligible))
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    m = _load_matrix(cfg)
-    out = _out_dir(cfg)
+def _ingest(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     ds.export_canonical_csv(m, out / "canonical.csv")
-    elapsed = time.perf_counter() - t0
     print(f"ingest: {m.n_users} users, {m.n_items} items, {m.n_ratings} ratings")
-    _update_summary(
-        out,
-        {
-            "dataset": cfg.dataset,
-            "n_users": m.n_users,
-            "n_items": m.n_items,
-            "n_ratings": m.n_ratings,
-            "timing_ingest_s": round(elapsed, 3),
-        },
-    )
-    return EXIT_OK
+    return {
+        "dataset": cfg.dataset,
+        "n_users": m.n_users,
+        "n_items": m.n_items,
+        "n_ratings": m.n_ratings,
+    }
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    m = _load_matrix(cfg)
-    out = _out_dir(cfg)
+def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     if cfg.k_coeff > m.n_users:
         print(
             f"warning: k_coeff {cfg.k_coeff} exceeds the user count {m.n_users}; "
@@ -303,59 +285,42 @@ def cmd_fit(cfg: RunConfig) -> int:
             db_signed = ql.davies_bouldin(model, m).db_signed
         except MethodologyError as e:
             print(f"warning: cluster quality unavailable: {e}", file=sys.stderr)
-    elapsed = time.perf_counter() - t0
     db_text = "n/a" if db_signed is None else repr(db_signed)
     print(f"fit: n_clusters={k} sse={model.sse!r} db_signed={db_text}")
-    _update_summary(
-        out,
-        {
-            "n_clusters": k,
-            "sse": model.sse,
-            "db_signed": db_signed,
-            "timing_fit_s": round(elapsed, 3),
-        },
-    )
-    return EXIT_OK
+    return {"n_clusters": k, "sse": model.sse, "db_signed": db_signed}
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.coeffs:
-        raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
-    t0 = time.perf_counter()
-    m = _load_matrix(cfg)
-    out = _out_dir(cfg)
-    ecfg = cfg.eval_config()
-    # Sweep over users whose rows can spare the holdout and meet the run's floor.
-    floor = max(cfg.min_ratings, ecfg.holdout_per_user + 1)
-    sub = ds.filter_min_ratings(m, floor)
+def _sweep_users(cfg: RunConfig, m: ds.RatingMatrix) -> ds.RatingMatrix:
+    """Users whose rows can spare the holdout and meet the run's floor."""
+    return ds.filter_min_ratings(m, max(cfg.min_ratings, cfg.eval_holdout + 1))
+
+
+def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     result = rv.sweep_coefficient(
-        sub, cfg.coeffs, cfg.kmeans_template(), ecfg, threads=cfg.resolved_threads()
+        _sweep_users(cfg, m),
+        cfg.coeffs,
+        cfg.kmeans_template(),
+        cfg.eval_config(),
+        threads=cfg.resolved_threads(),
     )
     rv.write_sweep_csv(result, out / "sweep.csv")
-    elapsed = time.perf_counter() - t0
     for row in result.rows:
         print(
             f"sweep: k_coeff={row.k_coeff} n_clusters={row.n_clusters} "
             f"ndcg={row.ndcg_mean:.6f} map={row.map_mean:.6f}"
         )
     print(f"sweep: best_by_ndcg={result.best_by_ndcg} best_by_map={result.best_by_map}")
-    _update_summary(
-        out,
-        {
-            "sweep_best_by_ndcg": result.best_by_ndcg,
-            "sweep_best_by_map": result.best_by_map,
-            "timing_sweep_s": round(elapsed, 3),
-        },
-    )
-    return EXIT_OK
+    return {
+        "sweep_best_by_ndcg": result.best_by_ndcg,
+        "sweep_best_by_map": result.best_by_map,
+    }
 
 
-def cmd_curves(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    m = _load_matrix(cfg)
-    model = _load_model(cfg, Path(cfg.output_dir), m)
+def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
+    # Reloaded even right after `fit`: load_model re-derives the assignments
+    # without fit's empty-cluster repair, so a staged rerun sees the same model.
+    model = km.load_model(out / "model.txt", m)
     users = _sample_curve_users(cfg, m)
-    out = _out_dir(cfg)
     ordering = cfg.resolved_ordering()
     threads = cfg.resolved_threads()
 
@@ -374,64 +339,85 @@ def cmd_curves(cfg: RunConfig) -> int:
             xp.write_success_csv(cohort_curve, out / "success_mincohort.csv")
             fragment["min_cohort_count"] = int(len(min_cohort))
             fragment["min_cohort_ratings"] = min_count
-    elapsed = time.perf_counter() - t0
     print(
         f"curves: success over {len(success.points)} prefix lengths, "
         f"{len(users)} users evaluated"
     )
-    fragment["timing_curves_s"] = round(elapsed, 3)
-    _update_summary(out, fragment)
-    return EXIT_OK
+    return fragment
 
 
-def cmd_threshold(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    t0 = time.perf_counter()
-    success_path = out / "success.csv"
-    quality_path = out / "quality.csv"
-    if not success_path.exists() or not quality_path.exists():
-        if cfg.input_path:
-            code = cmd_curves(cfg)
-            if code != EXIT_OK:
-                return code
-        else:
-            raise UsageError(
-                f"curve CSVs not found in {out} and no --input given to compute them"
-            )
-    _out_dir(cfg)
-    success = xp.read_success_csv(success_path)
-    quality_c = xp.read_quality_csv(quality_path)
+def _threshold(cfg: RunConfig, out: Path) -> dict:
+    success = xp.read_success_csv(out / "success.csv")
+    quality_c = xp.read_quality_csv(out / "quality.csv")
 
     report = xp.detect_breakpoint(success, method=cfg.breakpoint_method)
     xp.write_breakpoint_report(report, out / "threshold.txt")
     inter = xp.regression_intersection(quality_c)
-    elapsed = time.perf_counter() - t0
     print(
         f"threshold: t_star={report.t_star} ({report.method}), "
         f"quality curves cross at t={inter.t_cross:.3f}"
         f"{' (extrapolated)' if inter.extrapolated else ''}"
     )
-    _update_summary(
-        out,
-        {
-            "breakpoint_t_star": report.t_star,
-            "breakpoint_method": report.method,
-            "breakpoint_total_sse": report.total_sse,
-            "intersection_t_cross": inter.t_cross,
-            "intersection_log_fit_a": inter.log_fit[0],
-            "intersection_log_fit_b": inter.log_fit[1],
-            "intersection_extrapolated": inter.extrapolated,
-            "timing_threshold_s": round(elapsed, 3),
-        },
-    )
-    return EXIT_OK
+    return {
+        "breakpoint_t_star": report.t_star,
+        "breakpoint_method": report.method,
+        "breakpoint_total_sse": report.total_sse,
+        "intersection_t_cross": inter.t_cross,
+        "intersection_log_fit_a": inter.log_fit[0],
+        "intersection_log_fit_b": inter.log_fit[1],
+        "intersection_extrapolated": inter.extrapolated,
+    }
 
 
-def cmd_pipeline(cfg: RunConfig) -> int:
-    for stage in (cmd_ingest, cmd_fit, *((cmd_sweep,) if cfg.coeffs else ()), cmd_curves, cmd_threshold):
-        code = stage(cfg)
-        if code != EXIT_OK:
-            return code
+# Stages that read the input matrix, in pipeline order; `threshold` reads
+# only the curve CSVs.
+_MATRIX_STAGES = {"ingest": _ingest, "fit": _fit, "sweep": _sweep, "curves": _curves}
+
+
+def _stages(command: str, cfg: RunConfig) -> tuple[str, ...]:
+    """The stages a command runs, in order."""
+    if command == "pipeline":
+        return ("ingest", "fit", *(("sweep",) if cfg.coeffs else ()), "curves", "threshold")
+    if command == "threshold":
+        out = Path(cfg.output_dir)
+        if not ((out / "success.csv").exists() and (out / "quality.csv").exists()):
+            if not cfg.input_path:
+                raise UsageError(
+                    f"curve CSVs not found in {out} and no --input given to compute them"
+                )
+            return ("curves", "threshold")
+    return (command,)
+
+
+def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
+    """Check, parse the input, write the config, then run the stages in order.
+
+    Every usage check comes before the output directory is created, so a
+    usage error leaves nothing behind. Each stage's timing covers the time
+    since the previous stage ended; the first stage's includes the checks
+    and the parse.
+    """
+    t0 = time.perf_counter()
+    out = Path(cfg.output_dir)
+    if "sweep" in stages and not cfg.coeffs:
+        raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
+    if "curves" in stages and "fit" not in stages and not (out / "model.txt").exists():
+        raise UsageError(f"missing model file: {out / 'model.txt'} (run `fit` first)")
+    m = _load_matrix(cfg) if any(s in _MATRIX_STAGES for s in stages) else None
+    if "sweep" in stages:
+        _sweep_users(cfg, m)
+    if "curves" in stages:
+        _curve_cohort(cfg, m)
+    out.mkdir(parents=True, exist_ok=True)
+    write_resolved_config(cfg, out)
+    for name in stages:
+        if name == "threshold":
+            fragment = _threshold(cfg, out)
+        else:
+            fragment = _MATRIX_STAGES[name](cfg, m, out)
+        fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
+        _update_summary(out, fragment)
+        t0 = time.perf_counter()
     return EXIT_OK
 
 
@@ -471,22 +457,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "fit": cmd_fit,
-    "sweep": cmd_sweep,
-    "curves": cmd_curves,
-    "threshold": cmd_threshold,
-    "pipeline": cmd_pipeline,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _run(cfg, _stages(args.command, cfg))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -419,6 +419,15 @@ def build_matrix(
     return m
 
 
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of the given compressed rows, back to back, and each entry's slot in ``rows``."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    seg = np.repeat(np.arange(len(rows)), lens)
+    shift = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    return np.arange(len(seg)) - shift[seg] + starts[seg], seg
+
+
 def filter_min_ratings(m: RatingMatrix, min_count: int) -> RatingMatrix:
     """Keep only users with at least ``min_count`` ratings; item space unchanged."""
     if min_count < 0:
@@ -430,9 +439,7 @@ def filter_min_ratings(m: RatingMatrix, min_count: int) -> RatingMatrix:
     if len(keep) == m.n_users:
         return m
 
-    take = np.concatenate(
-        [np.arange(m.indptr[u], m.indptr[u + 1]) for u in keep]
-    ) if len(m.values) else np.zeros(0, dtype=np.int64)
+    take, _ = _gather_rows(m.indptr, keep)
     indptr = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(lengths[keep], out=indptr[1:])
     out = RatingMatrix(
@@ -471,13 +478,11 @@ def prefix(
     user: int,
     t: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
-    events: list[RatingEvent] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First min(t, history) ratings of a user under ``ordering``, as an item-sorted sparse row.
 
-    ``by_timestamp`` needs per-rating timestamps: either stored on the matrix
-    or supplied through ``events``. Prefixes are nested: the result for t1 is
-    a subset of the result for any t2 >= t1.
+    ``by_timestamp`` needs the matrix's per-rating timestamps. Prefixes are
+    nested: the result for t1 is a subset of the result for any t2 >= t1.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -488,16 +493,6 @@ def prefix(
         sel = np.arange(take)
     else:
         ts = m.row_timestamps(user)
-        if events is not None:
-            by_item = {
-                e.item_id: e.timestamp
-                for e in events
-                if e.user_id == int(m.user_ids[user]) and e.timestamp is not None
-            }
-            try:
-                ts = np.asarray([by_item[int(m.item_ids[i])] for i in idx], dtype=np.int64)
-            except KeyError as e:
-                raise ValueError(f"no timestamp for item id {e.args[0]}") from None
         if ts is None:
             raise ValueError("by_timestamp ordering requires timestamps")
         # Tie-break on item index; np.lexsort's last key is primary.

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix
+from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix, _gather_rows
 from .errors import DegenerateModelError, NoIntersectionError
 from .kmeans import ClusterModel, _assign_all
 from .quality import davies_bouldin
@@ -101,16 +101,6 @@ def _prefix_ranks(m: RatingMatrix, ordering: PrefixOrdering) -> np.ndarray:
     return ranks
 
 
-def _gather_users(m: RatingMatrix, users: np.ndarray):
-    """Concatenated row segments (positions into the nnz arrays) for the given users."""
-    lens = m.indptr[users + 1] - m.indptr[users]
-    total = int(lens.sum())
-    seg = np.repeat(np.arange(len(users)), lens)
-    shift = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    pos = np.arange(total) - shift[seg] + np.repeat(m.indptr[users], lens)
-    return pos, seg, lens
-
-
 def _validate_users(model: ClusterModel, m: RatingMatrix, users) -> np.ndarray:
     users = np.asarray(users, dtype=np.int64)
     if users.size == 0:
@@ -120,6 +110,22 @@ def _validate_users(model: ClusterModel, m: RatingMatrix, users) -> np.ndarray:
     if m.n_items != model.n_items:
         raise ValueError("matrix item space does not match the model")
     return users
+
+
+def _assign_rows(
+    model: ClusterModel,
+    idx: np.ndarray,
+    vals: np.ndarray,
+    counts: np.ndarray,
+    threads: int,
+) -> np.ndarray:
+    """Labels of the CSR rows holding ``counts`` consecutive (idx, vals) entries each."""
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    X = sparse.csr_matrix((vals, idx, indptr), shape=(len(counts), model.n_items))
+    sq = np.concatenate([[0.0], np.cumsum(X.data**2)])
+    xnorms = sq[indptr[1:]] - sq[indptr[:-1]]
+    labels, _ = _assign_all(X, xnorms, model.centroids, threads)
+    return labels
 
 
 def _prefix_labels(
@@ -132,37 +138,26 @@ def _prefix_labels(
 ):
     """Yield (t, labels of every user's min(t, history)-length prefix) for t = 1..t_max."""
     rank = _prefix_ranks(m, ordering)
-    pos, _, lens = _gather_users(m, users)
+    pos, _ = _gather_rows(m.indptr, users)
+    lens = m.indptr[users + 1] - m.indptr[users]
     sub_idx = m.indices[pos].astype(np.int32)
     sub_val = m.values[pos]
     sub_rank = rank[pos]
     for t in range(1, t_max + 1):
         keep = sub_rank < t
         counts = np.minimum(lens, t)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        X = sparse.csr_matrix(
-            (sub_val[keep], sub_idx[keep], indptr), shape=(len(users), m.n_items)
-        )
-        sq = np.concatenate([[0.0], np.cumsum(X.data**2)])
-        xnorms = sq[indptr[1:]] - sq[indptr[:-1]]
-        labels, _ = _assign_all(X, xnorms, model.centroids, threads)
-        yield t, labels
+        yield t, _assign_rows(model, sub_idx[keep], sub_val[keep], counts, threads)
 
 
 def _final_labels(
     model: ClusterModel, m: RatingMatrix, users: np.ndarray, threads: int
 ) -> np.ndarray:
     """Assignment of each user's full row against the frozen centroids."""
-    pos, _, lens = _gather_users(m, users)
-    indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-    X = sparse.csr_matrix(
-        (m.values[pos], m.indices[pos].astype(np.int32), indptr),
-        shape=(len(users), m.n_items),
+    pos, _ = _gather_rows(m.indptr, users)
+    lens = m.indptr[users + 1] - m.indptr[users]
+    return _assign_rows(
+        model, m.indices[pos].astype(np.int32), m.values[pos], lens, threads
     )
-    sq = np.concatenate([[0.0], np.cumsum(X.data**2)])
-    xnorms = sq[indptr[1:]] - sq[indptr[:-1]]
-    labels, _ = _assign_all(X, xnorms, model.centroids, threads)
-    return labels
 
 
 def success_curve(

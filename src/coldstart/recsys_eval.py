@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingMatrix
+from .dataset import RatingMatrix, _gather_rows
 from .kmeans import ClusterModel, KMeansConfig, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
@@ -114,18 +114,6 @@ def predict_score(model: ClusterModel, m: RatingMatrix, user: int, item: int) ->
     return FALLBACK_SCORE
 
 
-def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten [starts[i], ends[i]) ranges into one index array plus segment ids."""
-    lens = ends - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    seg = np.repeat(np.arange(len(starts)), lens)
-    shift = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    flat = np.arange(total) - shift[seg] + starts[seg]
-    return flat, seg
-
-
 def _holdout_split(
     m: RatingMatrix, ecfg: EvalConfig
 ) -> tuple[RatingMatrix, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
@@ -180,7 +168,7 @@ def _score_candidates(
 ) -> np.ndarray:
     """Vectorized predict_score over one user's candidate items."""
     cl = model.assignments[user]
-    flat, seg = _concat_ranges(train_csc.indptr[items], train_csc.indptr[items + 1])
+    flat, seg = _gather_rows(train_csc.indptr, items)
     raters = train_csc.indices[flat]
     vals = train_csc.data[flat]
     sel = (model.assignments[raters] == cl) & (raters != user)

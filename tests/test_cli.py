@@ -146,6 +146,58 @@ def test_stages_rerun_independently(jester_file, tmp_path):
     assert (out / "threshold.txt").read_text() == first
 
 
+DETERMINISTIC = [
+    "canonical.csv", "model.txt", "sweep.csv", "success.csv",
+    "success_mincohort.csv", "quality.csv", "threshold.txt",
+]
+
+
+@pytest.mark.parametrize("dataset", ["jester", "movielens"])
+def test_pipeline_parses_once_and_matches_staged_commands(
+    dataset, jester_file, ml_file, tmp_path, monkeypatch
+):
+    if dataset == "jester":
+        data, flags = jester_file, ["--min-ratings", "50", "--sample", "20", "--t-max", "80"]
+        parsers = ["parse_jester"]
+    else:
+        data, flags = ml_file, ["--min-ratings", "6", "--sample", "10", "--t-max", "12"]
+        parsers = ["parse_movielens", "build_matrix"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eval_holdout = 3\n")
+
+    def argv(command, out):
+        return [
+            command, "--dataset", dataset, "--input", str(data), "--config", str(cfg),
+            "--k-coeff", "10", "--seed", "0", "--out", str(out), *flags,
+            *(["--coeffs", "10,20"] if command in ("sweep", "pipeline") else []),
+        ]
+
+    calls = {name: 0 for name in parsers}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in parsers:
+        monkeypatch.setattr(cli.ds, name, counted(name, getattr(cli.ds, name)))
+    assert main(argv("pipeline", tmp_path / "piped")) == EXIT_OK
+    assert calls == {name: 1 for name in parsers}
+    monkeypatch.undo()
+
+    for stage in ("ingest", "fit", "sweep", "curves", "threshold"):
+        assert main(argv(stage, tmp_path / "staged")) == EXIT_OK, stage
+    written = [n for n in DETERMINISTIC if (tmp_path / "piped" / n).exists()]
+    assert "sweep.csv" in written
+    assert ("success_mincohort.csv" in written) == (dataset == "movielens")
+    for name in DETERMINISTIC:
+        piped, staged = tmp_path / "piped" / name, tmp_path / "staged" / name
+        assert piped.exists() == staged.exists(), name
+        if piped.exists():
+            assert piped.read_bytes() == staged.read_bytes(), name
+
+
 def test_pipeline_is_deterministic(jester_file, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -210,6 +262,9 @@ def test_parse_config_file_types(tmp_path):
         ("ordering", "sideways"),
         ("breakpoint_method", "eyeball"),
         ("threads", -2),
+        ("kmeans_restarts", 0),
+        ("kmeans_max_steps", 0),
+        ("eval_holdout", 0),
     ],
 )
 def test_run_config_rejects_bad_values(field, value):
@@ -313,6 +368,43 @@ def test_unexpected_exception_in_fit_is_internal_error(jester_file, tmp_path, ca
     ])
     assert rc == EXIT_INTERNAL
     assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ("", ["--min-ratings", "61"]),
+        ("eval_holdout = 60", ["--min-ratings", "50", "--coeffs", "10"]),
+    ],
+    ids=["no-curve-users", "no-sweep-users"],
+)
+def test_pipeline_with_empty_cohort_writes_nothing(config, flags, jester_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    rc = main([
+        "pipeline", "--config", str(cfg), "--dataset", "jester", "--input", str(jester_file),
+        "--k-coeff", "10", "--out", str(tmp_path / "o"), *flags,
+    ])
+    assert rc == EXIT_USAGE
+    assert ">= 61 ratings" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("fit", "kmeans_restarts = 0"), ("sweep", "eval_holdout = 0")],
+)
+def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = [
+        command, "--config", str(cfg), "--dataset", "jester", "--input", str(jester_file),
+        "--out", str(tmp_path / "o"),
+    ]
+    if command == "sweep":
+        argv += ["--coeffs", "10"]
+    assert main(argv) == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
 
 
 def test_curves_before_fit_tells_user_to_fit(jester_file, tmp_path, capsys):
