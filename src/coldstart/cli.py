@@ -78,11 +78,14 @@ class RunConfig:
             raise UsageError("threads must be >= 0 (0 = auto)")
         if self.breakpoint_method not in (xp.SEGMENTED_LINEAR, xp.KNEEDLE, xp.EXP_TANGENT):
             raise UsageError(f"unknown breakpoint method {self.breakpoint_method!r}")
-        try:
-            self.kmeans_template()
-            self.eval_config()
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        # Each key is checked alone by its library config, so the error can name it.
+        bases = ((km.KMeansConfig(n_clusters=1), _KMEANS_KEYS), (rv.EvalConfig(), _EVAL_KEYS))
+        for base, keys in bases:
+            for key, field in keys.items():
+                try:
+                    dataclasses.replace(base, **{field: getattr(self, key)})
+                except ValueError as e:
+                    raise UsageError(f"{key}: {e}") from None
 
     def resolved_ordering(self) -> ds.PrefixOrdering:
         if self.ordering == "by_timestamp":
@@ -99,24 +102,28 @@ class RunConfig:
         return self.threads
 
     def kmeans_template(self) -> km.KMeansConfig:
-        return km.KMeansConfig(
-            n_clusters=1,
-            restarts=self.kmeans_restarts,
-            max_steps=self.kmeans_max_steps,
-            conv_tol=self.kmeans_conv_tol,
-            seed=self.seed,
-            init=self.kmeans_init,
-        )
+        return km.KMeansConfig(n_clusters=1, seed=self.seed, **self._fields(_KMEANS_KEYS))
 
     def eval_config(self) -> rv.EvalConfig:
-        return rv.EvalConfig(
-            holdout_per_user=self.eval_holdout,
-            candidate_pool=self.eval_pool,
-            relevance_threshold=self.eval_relevance_threshold,
-            ndcg_cutoff=self.eval_ndcg_cutoff,
-            seed=self.seed,
-        )
+        return rv.EvalConfig(seed=self.seed, **self._fields(_EVAL_KEYS))
 
+    def _fields(self, keys: dict[str, str]) -> dict:
+        return {field: getattr(self, key) for key, field in keys.items()}
+
+
+# RunConfig fields that set a KMeansConfig / EvalConfig field, and the field they set.
+_KMEANS_KEYS = {
+    "kmeans_restarts": "restarts",
+    "kmeans_max_steps": "max_steps",
+    "kmeans_conv_tol": "conv_tol",
+    "kmeans_init": "init",
+}
+_EVAL_KEYS = {
+    "eval_holdout": "holdout_per_user",
+    "eval_pool": "candidate_pool",
+    "eval_relevance_threshold": "relevance_threshold",
+    "eval_ndcg_cutoff": "ndcg_cutoff",
+}
 
 _CONFIG_KEYS = {
     "dataset": str,
@@ -322,20 +329,17 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     model = km.load_model(out / "model.txt", m)
     users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()
-    threads = cfg.resolved_threads()
 
-    success = xp.success_curve(model, m, users, cfg.t_max, ordering, threads=threads)
+    success = xp.success_curve(model, m, users, cfg.t_max, ordering)
     xp.write_success_csv(success, out / "success.csv")
-    quality_c = xp.quality_curve(model, m, users, cfg.t_max, ordering, threads=threads)
+    quality_c = xp.quality_curve(model, m, users, cfg.t_max, ordering)
     xp.write_quality_csv(quality_c, out / "quality.csv")
 
     fragment = {"curve_users": len(users)}
     if cfg.dataset == "movielens":
         min_count, min_cohort, _ = xp.split_by_min_count(m)
         if len(min_cohort):
-            cohort_curve = xp.success_curve(
-                model, m, min_cohort, cfg.t_max, ordering, threads=threads
-            )
+            cohort_curve = xp.success_curve(model, m, min_cohort, cfg.t_max, ordering)
             xp.write_success_csv(cohort_curve, out / "success_mincohort.csv")
             fragment["min_cohort_count"] = int(len(min_cohort))
             fragment["min_cohort_ratings"] = min_count

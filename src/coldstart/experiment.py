@@ -4,7 +4,8 @@ The cluster model is fit once on full histories and frozen; each user's rating
 prefix of length t is assigned against those fixed centroids and compared with
 the assignment of the full row. The per-t evaluation is batched: one sparse
 matrix of all selected users' prefixes per t, so curve generation stays fast
-at dataset scale and is bit-stable for any worker thread count.
+at dataset scale. It runs on one thread, so the curves never depend on the
+run's thread count.
 """
 
 from __future__ import annotations
@@ -117,14 +118,13 @@ def _assign_rows(
     idx: np.ndarray,
     vals: np.ndarray,
     counts: np.ndarray,
-    threads: int,
 ) -> np.ndarray:
     """Labels of the CSR rows holding ``counts`` consecutive (idx, vals) entries each."""
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     X = sparse.csr_matrix((vals, idx, indptr), shape=(len(counts), model.n_items))
     sq = np.concatenate([[0.0], np.cumsum(X.data**2)])
     xnorms = sq[indptr[1:]] - sq[indptr[:-1]]
-    labels, _ = _assign_all(X, xnorms, model.centroids, threads)
+    labels, _ = _assign_all(X, xnorms, model.centroids)
     return labels
 
 
@@ -134,7 +134,6 @@ def _prefix_labels(
     users: np.ndarray,
     t_max: int,
     ordering: PrefixOrdering,
-    threads: int,
 ):
     """Yield (t, labels of every user's min(t, history)-length prefix) for t = 1..t_max."""
     rank = _prefix_ranks(m, ordering)
@@ -146,18 +145,14 @@ def _prefix_labels(
     for t in range(1, t_max + 1):
         keep = sub_rank < t
         counts = np.minimum(lens, t)
-        yield t, _assign_rows(model, sub_idx[keep], sub_val[keep], counts, threads)
+        yield t, _assign_rows(model, sub_idx[keep], sub_val[keep], counts)
 
 
-def _final_labels(
-    model: ClusterModel, m: RatingMatrix, users: np.ndarray, threads: int
-) -> np.ndarray:
+def _final_labels(model: ClusterModel, m: RatingMatrix, users: np.ndarray) -> np.ndarray:
     """Assignment of each user's full row against the frozen centroids."""
     pos, _ = _gather_rows(m.indptr, users)
     lens = m.indptr[users + 1] - m.indptr[users]
-    return _assign_rows(
-        model, m.indices[pos].astype(np.int32), m.values[pos], lens, threads
-    )
+    return _assign_rows(model, m.indices[pos].astype(np.int32), m.values[pos], lens)
 
 
 def success_curve(
@@ -166,18 +161,16 @@ def success_curve(
     users,
     t_max: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
-    *,
-    threads: int = 1,
 ) -> SuccessCurve:
     """Per-prefix-length agreement with the final cluster over users with >= t ratings."""
     users = _validate_users(model, m, users)
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    final = _final_labels(model, m, users, threads)
+    final = _final_labels(model, m, users)
     lens = m.indptr[users + 1] - m.indptr[users]
     t_stop = min(t_max, int(lens.max()))
     points = []
-    for t, labels in _prefix_labels(model, m, users, t_stop, ordering, threads):
+    for t, labels in _prefix_labels(model, m, users, t_stop, ordering):
         active = lens >= t
         n_eval = int(active.sum())
         if n_eval == 0:
@@ -193,8 +186,6 @@ def quality_curve(
     users,
     t_max: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
-    *,
-    threads: int = 1,
 ) -> QualityCurve:
     """Mean signed quality of prefix-assigned clusters versus final clusters.
 
@@ -206,13 +197,13 @@ def quality_curve(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     terms = davies_bouldin(model, m).per_cluster_db_term
-    final = _final_labels(model, m, users, threads)
+    final = _final_labels(model, m, users)
     ref_terms = terms[final]
     if np.isnan(ref_terms).any():
         raise DegenerateModelError("a final cluster has no usable quality term")
     reference = float(np.mean(-ref_terms))
     points = []
-    for t, labels in _prefix_labels(model, m, users, t_max, ordering, threads):
+    for t, labels in _prefix_labels(model, m, users, t_max, ordering):
         cur_terms = terms[labels]
         if np.isnan(cur_terms).any():
             raise DegenerateModelError(

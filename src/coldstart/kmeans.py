@@ -3,8 +3,8 @@
 Unrated dimensions enter distances and centroid means as 0.0, which is exactly
 the sparse-matrix semantics, so Lloyd iterations run on CSR data directly.
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
-thread count: the assignment phase is chunked with a fixed chunk size and the
-per-chunk results are combined in chunk order.
+thread count: restarts are the unit of parallelism, each one runs whole on one
+thread, and the best is picked in restart order.
 """
 
 from __future__ import annotations
@@ -106,33 +106,26 @@ def _row_sq_norms(m: RatingMatrix) -> np.ndarray:
 
 
 def _assign_all(
-    X: sparse.csr_matrix,
-    xnorms: np.ndarray,
-    centroids: np.ndarray,
-    threads: int = 1,
+    X: sparse.csr_matrix, xnorms: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row (ties to the lowest index) and the distance to it."""
+    """Nearest centroid per row (ties to the lowest index) and the distance to it.
+
+    Rows are taken in `_CHUNK`-row blocks only to bound the distance block's memory.
+    """
     n = X.shape[0]
     cnorms = np.einsum("ij,ij->i", centroids, centroids)
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-    def one(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = span
-        d = xnorms[lo:hi, None] - 2.0 * (X[lo:hi] @ centroids.T)
-        d += cnorms[None, :]
-        labels = np.argmin(d, axis=1)
-        dmin = d[np.arange(hi - lo), labels]
-        return labels, np.maximum(dmin, 0.0)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one, spans))
-    else:
-        parts = [one(s) for s in spans]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    labels = np.empty(n, dtype=np.intp)
+    dists = np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        d = X[lo:hi] @ centroids.T
+        d *= -2.0
+        d += xnorms[lo:hi, None]
+        d += cnorms
+        labels[lo:hi] = np.argmin(d, axis=1)
+        dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
+    np.maximum(dists, 0.0, out=dists)
+    return labels, dists
 
 
 def _repair_empty(
@@ -157,11 +150,12 @@ def _repair_empty(
 
 
 def _cluster_means(X: sparse.csr_matrix, labels: np.ndarray, k: int) -> np.ndarray:
-    n = X.shape[0]
-    onehot = sparse.csr_matrix(
-        (np.ones(n), labels, np.arange(n + 1, dtype=np.int64)), shape=(n, k)
-    )
-    sums = np.asarray((onehot.T @ X).todense())
+    d = X.shape[1]
+    # Item-major bins: each cell sums its members in ascending row order.
+    bins = X.indices.astype(np.int64) * k + np.repeat(labels, np.diff(X.indptr))
+    # The (k, d) transpose is F-ordered like the sparse product it replaced;
+    # the einsum centroid norms, and so the SSE, depend on that layout.
+    sums = np.bincount(bins, weights=X.data, minlength=d * k).reshape(d, k).T
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     counts[counts == 0] = 1.0  # empty clusters keep a zero centroid; repair handles them
     return sums / counts[:, None]
@@ -194,33 +188,30 @@ def _init_centroids(
 
 
 def _lloyd(
-    X: sparse.csr_matrix,
-    xnorms: np.ndarray,
-    centroids: np.ndarray,
-    cfg: KMeansConfig,
-    threads: int,
+    X: sparse.csr_matrix, xnorms: np.ndarray, centroids: np.ndarray, cfg: KMeansConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """One Lloyd run. Returns (centroids, labels, per-point distances, per-step SSE)."""
+    """One Lloyd run. Returns (centroids, labels, per-point distances, per-step SSE).
+
+    Every step assigns and repairs first, so the returned labels and distances
+    always belong to the returned centroids.
+    """
     labels = None
+    shift = np.inf
     history: list[float] = []
-    for _ in range(cfg.max_steps):
-        new_labels, dists = _assign_all(X, xnorms, centroids, threads)
+    for step in range(cfg.max_steps + 1):
+        new_labels, dists = _assign_all(X, xnorms, centroids)
         _repair_empty(X, new_labels, dists, centroids)
         history.append(float(dists.sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
-            return centroids, labels, dists, history
+        if (
+            step == cfg.max_steps
+            or shift < cfg.conv_tol
+            or (labels is not None and np.array_equal(new_labels, labels))
+        ):
+            return centroids, new_labels, dists, history
         labels = new_labels
         new_centroids = _cluster_means(X, labels, centroids.shape[0])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < cfg.conv_tol:
-            break
-    # Make the returned state consistent with the final centroids.
-    labels, dists = _assign_all(X, xnorms, centroids, threads)
-    _repair_empty(X, labels, dists, centroids)
-    history.append(float(dists.sum()))
-    return centroids, labels, dists, history
 
 
 def _fingerprint(cfg: KMeansConfig, m: RatingMatrix) -> str:
@@ -244,29 +235,32 @@ def fit(
     assignment and mean updates alternate until assignments stop changing,
     the largest centroid displacement drops below `conv_tol`, or `max_steps`
     is reached. Empty clusters are repaired by promoting the point farthest
-    from its centroid to a singleton cluster.
+    from its centroid to a singleton cluster. Restarts run on up to `threads`
+    worker threads, each restart whole on one thread, so the result is the
+    same for any thread count.
     """
     if m.n_users < 1:
         raise ValueError("cannot fit on an empty matrix")
     if cfg.n_clusters > m.n_users:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds n_users={m.n_users}")
-    if threads < 1:
-        threads = 1
 
     X = m.to_csr()
     xnorms = _row_sq_norms(m)
-    best = None
-    histories: list[tuple[float, ...]] = []
-    for r in range(cfg.restarts):
+
+    def run(r: int):
         rng = np.random.default_rng(cfg.seed + r)
         centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng, cfg.init)
-        centroids, labels, dists, history = _lloyd(X, xnorms, centroids0, cfg, threads)
-        histories.append(tuple(history))
-        run_sse = float(dists.sum())
-        if best is None or run_sse < best[0]:
-            best = (run_sse, centroids, labels)
+        return _lloyd(X, xnorms, centroids0, cfg)
 
-    run_sse, centroids, labels = best
+    workers = min(max(threads, 1), cfg.restarts)
+    if workers == 1:
+        runs = [run(r) for r in range(cfg.restarts)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            runs = list(ex.map(run, range(cfg.restarts)))
+    sses = [float(dists.sum()) for _, _, dists, _ in runs]
+    best = min(range(cfg.restarts), key=sses.__getitem__)  # ties: the earlier restart
+    centroids, labels, _, _ = runs[best]
     centroids = centroids.copy()
     centroids.flags.writeable = False
     labels = labels.astype(np.int64)
@@ -274,10 +268,10 @@ def fit(
     return ClusterModel(
         centroids=centroids,
         assignments=labels,
-        sse=run_sse,
+        sse=sses[best],
         config_fingerprint=_fingerprint(cfg, m),
         seed=cfg.seed,
-        step_sse=tuple(histories) if collect_step_sse else None,
+        step_sse=tuple(tuple(h) for *_, h in runs) if collect_step_sse else None,
     )
 
 

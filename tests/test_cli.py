@@ -394,7 +394,7 @@ def test_pipeline_with_empty_cohort_writes_nothing(config, flags, jester_file, t
     "command, line",
     [("fit", "kmeans_restarts = 0"), ("sweep", "eval_holdout = 0")],
 )
-def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path):
+def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     argv = [
@@ -405,6 +405,7 @@ def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path):
         argv += ["--coeffs", "10"]
     assert main(argv) == EXIT_USAGE
     assert not (tmp_path / "o").exists()
+    assert line.split(" = ")[0] in capsys.readouterr().err  # names the key the user wrote
 
 
 def test_curves_before_fit_tells_user_to_fit(jester_file, tmp_path, capsys):

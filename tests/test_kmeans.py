@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from coldstart import kmeans as km
 from coldstart.dataset import IDENTITY_1_TO_5
@@ -98,11 +99,29 @@ def test_fit_is_deterministic(mk_matrix):
 def test_fit_threads_do_not_change_result(mk_matrix):
     rng = np.random.default_rng(12)
     m = mk_matrix(rng.uniform(1, 5, (60, 8)))
-    cfg = km.KMeansConfig(n_clusters=6, seed=1)
-    a = km.fit(m, cfg, threads=1)
-    b = km.fit(m, cfg, threads=8)
-    assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.assignments, b.assignments)
+    cfg = km.KMeansConfig(n_clusters=6, seed=1, restarts=10)
+    a = km.fit(m, cfg, threads=1, collect_step_sse=True)
+    # fewer, some and more workers than restarts
+    for threads in (3, 10, 16):
+        b = km.fit(m, cfg, threads=threads, collect_step_sse=True)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert np.array_equal(a.assignments, b.assignments)
+        assert a.sse == b.sse
+        assert a.step_sse == b.step_sse
+
+
+def test_fit_sse_tie_goes_to_earlier_restart(mk_matrix):
+    # both restarts end at the same SSE, with the two labels swapped
+    m = _toy_matrix(mk_matrix, [[0.0], [1.0], [10.0], [11.0]])
+    first = km.fit(m, km.KMeansConfig(n_clusters=2, seed=0, restarts=1))
+    second = km.fit(m, km.KMeansConfig(n_clusters=2, seed=1, restarts=1))
+    assert second.sse == first.sse
+    assert not np.array_equal(second.assignments, first.assignments)
+    cfg = km.KMeansConfig(n_clusters=2, seed=0, restarts=2)
+    for threads in (1, 2):
+        model = km.fit(m, cfg, threads=threads)
+        assert model.sse == first.sse
+        np.testing.assert_array_equal(model.assignments, first.assignments)
 
 
 def test_fit_validates_cluster_count(mk_matrix):
@@ -160,6 +179,41 @@ def test_fit_matches_exhaustive_partition(mk_matrix, seed):
     m = mk_matrix(X)
     model = km.fit(m, km.KMeansConfig(n_clusters=k, seed=0, restarts=30))
     assert model.sse <= _best_partition_sse(X, k) + 1e-9
+
+
+# ---------------------------------------------------------------- batched kernels
+
+def test_assign_all_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(4)
+    dense = np.where(rng.random((40, 6)) < 0.6, rng.uniform(1, 5, (40, 6)), 0.0)
+    centroids = rng.uniform(1, 5, (5, 6))
+    centroids[3] = centroids[1]  # every row is equally far from 1 and 3
+    dense[::4] = centroids[1]  # rows sitting on the duplicated centroid
+    X = sparse.csr_matrix(dense)
+    xnorms = (dense**2).sum(axis=1)
+    one_labels, one_dists = km._assign_all(X, xnorms, centroids)
+    monkeypatch.setattr(km, "_CHUNK", 7)
+    labels, dists = km._assign_all(X, xnorms, centroids)
+    assert labels.tobytes() == one_labels.tobytes()
+    assert dists.tobytes() == one_dists.tobytes()
+    assert 3 not in labels  # a tie goes to the lowest index
+    assert (labels[::4] == 1).all()
+    expect = ((dense[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    np.testing.assert_array_equal(labels, np.argmin(expect, axis=1))
+    np.testing.assert_allclose(dists, expect.min(axis=1), atol=1e-9)
+
+
+def test_cluster_means_matches_dense_oracle():
+    rng = np.random.default_rng(6)
+    dense = np.where(rng.random((30, 7)) < 0.5, rng.uniform(1, 5, (30, 7)), 0.0)
+    labels = rng.integers(0, 4, 30)
+    labels[labels == 2] = 0  # cluster 2 stays empty
+    means = km._cluster_means(sparse.csr_matrix(dense), labels, 4)
+    for j in range(4):
+        members = dense[labels == j]
+        expect = members.mean(axis=0) if len(members) else np.zeros(7)
+        np.testing.assert_allclose(means[j], expect, rtol=1e-12, atol=0)
+    assert (means[2] == 0.0).all()
 
 
 # ---------------------------------------------------------------- assignment
