@@ -252,15 +252,16 @@ def fit(
         centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng, cfg.init)
         return _lloyd(X, xnorms, centroids0, cfg)
 
-    workers = min(max(threads, 1), cfg.restarts)
-    if workers == 1:
-        runs = [run(r) for r in range(cfg.restarts)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            runs = list(ex.map(run, range(cfg.restarts)))
-    sses = [float(dists.sum()) for _, _, dists, _ in runs]
-    best = min(range(cfg.restarts), key=sses.__getitem__)  # ties: the earlier restart
-    centroids, labels, _, _ = runs[best]
+    # Results arrive in restart order; each is dropped once compared, so only
+    # the best run and those still in flight are held.
+    best_sse, centroids, labels = 0.0, None, None
+    histories = []
+    with ThreadPoolExecutor(max_workers=min(max(threads, 1), cfg.restarts)) as ex:
+        for c, lab, dists, history in ex.map(run, range(cfg.restarts)):
+            histories.append(tuple(history))
+            run_sse = float(dists.sum())
+            if centroids is None or run_sse < best_sse:  # ties: the earlier restart
+                best_sse, centroids, labels = run_sse, c, lab
     centroids = centroids.copy()
     centroids.flags.writeable = False
     labels = labels.astype(np.int64)
@@ -268,10 +269,10 @@ def fit(
     return ClusterModel(
         centroids=centroids,
         assignments=labels,
-        sse=sses[best],
+        sse=best_sse,
         config_fingerprint=_fingerprint(cfg, m),
         seed=cfg.seed,
-        step_sse=tuple(tuple(h) for *_, h in runs) if collect_step_sse else None,
+        step_sse=tuple(histories) if collect_step_sse else None,
     )
 
 
