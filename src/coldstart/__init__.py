@@ -14,6 +14,7 @@ from .dataset import (
     NormalizationScheme,
     PrefixOrdering,
     RatingEvent,
+    RatingEvents,
     RatingMatrix,
     build_matrix,
     export_canonical_csv,
@@ -87,6 +88,7 @@ __all__ = [
     "PrefixOrdering",
     "QualityCurve",
     "RatingEvent",
+    "RatingEvents",
     "RatingMatrix",
     "RatingRangeError",
     "SuccessCurve",

@@ -71,9 +71,9 @@ class RunConfig:
             raise UsageError(f"dataset must be movielens or jester, not {self.dataset!r}")
         if self.ordering not in ("auto", "by_timestamp", "by_item_index"):
             raise UsageError(f"unknown ordering {self.ordering!r}")
-        for name in ("k_coeff", "min_ratings", "sample_size", "t_max"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1")
+        for key in ("k_coeff", "min_ratings", "sample", "t_max"):
+            if getattr(self, _KEY_TO_FIELD.get(key, key)) < 1:
+                raise UsageError(f"{key} must be >= 1")
         if self.threads < 0:
             raise UsageError("threads must be >= 0 (0 = auto)")
         if self.breakpoint_method not in (xp.SEGMENTED_LINEAR, xp.KNEEDLE, xp.EXP_TANGENT):

@@ -4,15 +4,23 @@ Two source layouts are supported: MovieLens-style ``user::item::rating::timestam
 event logs and Jester-style delimiter-separated rating grids with a 99.0
 "not rated" sentinel. Both are normalized onto a common [1, 5] scale so the
 clustering and quality code paths are shared.
+
+Both parsers read the non-blank lines in blocks, one ``np.loadtxt`` call per
+block, into numeric columns and check them with array operations, so no
+Python object is made per rating: ``parse_movielens`` returns
+``RatingEvents`` columns, which ``build_matrix`` sorts and deduplicates. Only
+when a call fails does a line-by-line scan of that block run, to name the
+first bad line. ``export_canonical_csv`` writes a matrix back out in
+fixed-size blocks of rows.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -34,10 +42,22 @@ class NormalizationScheme:
     source_min: float
     source_max: float
 
-    def normalize(self, raw: float) -> float:
-        if not (self.source_min <= raw <= self.source_max):
+    def out_of_range(self, raw: float | np.ndarray) -> np.ndarray:
+        """True where a raw rating lies outside the source range; NaN counts as outside."""
+        raw = np.asarray(raw)
+        return ~((self.source_min <= raw) & (raw <= self.source_max))
+
+    def normalize(self, raw: float | np.ndarray) -> float | np.ndarray:
+        """Map a raw rating, or an array of them elementwise, onto [1, 5].
+
+        Raises RatingRangeError naming the first value (in C order) outside
+        the source range.
+        """
+        bad = self.out_of_range(raw)
+        if bad.any():
+            first = raw if np.ndim(raw) == 0 else float(raw[bad][0])
             raise RatingRangeError(
-                f"rating {raw!r} outside [{self.source_min}, {self.source_max}] "
+                f"rating {first!r} outside [{self.source_min}, {self.source_max}] "
                 f"for scheme {self.kind}"
             )
         span = self.source_max - self.source_min
@@ -67,6 +87,54 @@ class RatingEvent:
             raise ValueError(f"negative id in {self!r}")
         if not (TARGET_MIN <= self.value <= TARGET_MAX):
             raise RatingRangeError(f"normalized value {self.value!r} outside [1, 5]")
+
+
+@dataclass(frozen=True, eq=False)
+class RatingEvents:
+    """Rating events as parallel columns, in arrival order.
+
+    ``parse_movielens`` returns this and ``build_matrix`` reads its arrays
+    directly. Indexing and iteration give ``RatingEvent`` objects, so it reads
+    like a list of events. ``timestamps`` is None when the events carry none.
+    """
+
+    user_ids: np.ndarray
+    item_ids: np.ndarray
+    values: np.ndarray
+    timestamps: np.ndarray | None = None
+
+    @classmethod
+    def from_events(cls, events: Iterable[RatingEvent]) -> "RatingEvents":
+        events = list(events)
+        has_ts = [e.timestamp is not None for e in events]
+        if all(has_ts):
+            tstamps = np.asarray([e.timestamp for e in events], dtype=np.int64)
+        elif not any(has_ts):
+            tstamps = None
+        else:
+            raise ValueError("events must either all carry timestamps or none")
+        return cls(
+            user_ids=np.asarray([e.user_id for e in events], dtype=np.int64),
+            item_ids=np.asarray([e.item_id for e in events], dtype=np.int64),
+            values=np.asarray([e.value for e in events], dtype=np.float64),
+            timestamps=tstamps,
+        )
+
+    @property
+    def n_ratings(self) -> int:
+        return int(self.values.shape[0])
+
+    def __len__(self) -> int:
+        return self.n_ratings
+
+    def __getitem__(self, i: int) -> RatingEvent:
+        ts = None if self.timestamps is None else int(self.timestamps[i])
+        return RatingEvent(
+            int(self.user_ids[i]), int(self.item_ids[i]), float(self.values[i]), ts
+        )
+
+    def __iter__(self) -> Iterator[RatingEvent]:
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -218,35 +286,115 @@ def _iter_lines(source: str | Path | IO) -> Iterator[str]:
         yield line
 
 
-def parse_movielens(source: str | Path | IO) -> list[RatingEvent]:
+# Lines per np.loadtxt call. This keeps every array the parse makes and
+# frees to about 1 MB at any input size. One whole-input call freed a 10 MB
+# grid on jester-fit, which raised glibc's dynamic mmap threshold, and the
+# later k-means fit then peaked about 20 MB higher.
+_PARSE_BLOCK = 1024
+
+
+def _line_blocks(source: str | Path | IO) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The stripped non-blank lines of ``source`` and their 1-based line numbers, block by block."""
+    raw = _iter_lines(source)
+    first = 1
+    while lines := [line.strip() for line in islice(raw, _PARSE_BLOCK)]:
+        line_nos = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + first
+        first += len(lines)
+        if len(line_nos) < len(lines):
+            lines = [s for s in lines if s]
+        if lines:
+            yield lines, line_nos
+
+
+# np.loadtxt splits on one character; a longer delimiter is mapped onto this one.
+_UNIT_SEPARATOR = "\x1f"
+
+
+def _load_rows(
+    lines: list[str],
+    line_nos: np.ndarray,
+    delimiter: str,
+    dtype: np.dtype,
+    message: Callable[[str], str],
+) -> tuple[np.ndarray, ParseError | None]:
+    """Parse ``lines`` into a 1-D array of ``dtype`` rows with one ``np.loadtxt`` call.
+
+    Returns the rows and None when every line parses. When the call fails,
+    the lines are tried one at a time to find the first one np.loadtxt
+    rejects; the rows before it come back with that line's ParseError, worded
+    by ``message``, which the caller raises unless its own checks fail on an
+    earlier row.
+    """
+
+    def load(part: list[str]) -> np.ndarray:
+        if not part:
+            return np.empty(0, dtype=dtype)
+        if len(delimiter) == 1:
+            return np.loadtxt(part, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+        mapped = (s.replace(delimiter, _UNIT_SEPARATOR) for s in part)
+        return np.loadtxt(mapped, dtype=dtype, delimiter=_UNIT_SEPARATOR, comments=None, ndmin=1)
+
+    try:
+        return load(lines), None
+    except ValueError as e:
+        failure = e
+    for r, line in enumerate(lines):
+        try:
+            load([line])
+        except ValueError:
+            return load(lines[:r]), ParseError(message(line), int(line_nos[r]))
+    raise failure
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
+# One parsed MovieLens line; the field names are those of RatingEvents.
+_EVENT_ROW = np.dtype(
+    [
+        ("user_ids", np.int64),
+        ("item_ids", np.int64),
+        ("values", np.float64),
+        ("timestamps", np.int64),
+    ]
+)
+
+
+def _movielens_line_error(line: str) -> str:
+    n_fields = len(line.split("::"))
+    if n_fields != 4:
+        return f"expected 4 '::'-separated fields, got {n_fields}"
+    return f"unparseable field in {line!r}"
+
+
+def parse_movielens(source: str | Path | IO) -> RatingEvents:
     """Parse ``user::item::rating::timestamp`` lines into rating events.
 
     Ratings must lie in [1, 5] and pass through unchanged. Blank lines are
     ignored; anything else malformed raises ParseError with its line number.
     """
-    events: list[RatingEvent] = []
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split("::")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 '::'-separated fields, got {len(parts)}", line_no)
-        try:
-            user = int(parts[0])
-            item = int(parts[1])
-            raw = float(parts[2])
-            ts = int(parts[3])
-        except ValueError:
-            raise ParseError(f"unparseable field in {line!r}", line_no) from None
-        if user < 0 or item < 0:
-            raise ParseError(f"negative id in {line!r}", line_no)
-        try:
-            value = normalize_rating(raw, IDENTITY_1_TO_5)
-        except RatingRangeError as e:
-            raise RatingRangeError(str(e), line_no) from None
-        events.append(RatingEvent(user, item, value, ts))
-    return events
+    blocks = [np.empty(0, dtype=_EVENT_ROW)]
+    for lines, line_nos in _line_blocks(source):
+        rows, error = _load_rows(lines, line_nos, "::", _EVENT_ROW, _movielens_line_error)
+        negative = (rows["user_ids"] < 0) | (rows["item_ids"] < 0)
+        r = min(_first(negative), _first(IDENTITY_1_TO_5.out_of_range(rows["values"])))
+        if r < len(rows):
+            if negative[r]:
+                raise ParseError(f"negative id in {lines[r]!r}", int(line_nos[r]))
+            try:
+                IDENTITY_1_TO_5.normalize(rows["values"][r : r + 1])
+            except RatingRangeError as e:
+                raise RatingRangeError(str(e), int(line_nos[r])) from None
+        if error is not None:
+            raise error
+        rows["values"] = IDENTITY_1_TO_5.normalize(rows["values"])
+        blocks.append(rows)
+    return RatingEvents(
+        **{name: np.concatenate([b[name] for b in blocks]) for name in _EVENT_ROW.names}
+    )
 
 
 def _detect_delimiter(line: str) -> str:
@@ -267,69 +415,80 @@ def parse_jester(
     mapped from [-10, 10] onto [1, 5]. A declared count that disagrees with
     the observed count warns, or raises when ``strict_counts`` is set.
     """
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    user_ids: list[int] = []
-    expected_fields: int | None = None
+    width = 101
+    user_ids, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    indices, values = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.float64)]
 
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
-        fields = [f.strip() for f in line.split(delimiter)]
-        if expected_fields is None:
-            if len(fields) not in (101, 102):
+    def line_error(line: str) -> str:
+        n_fields = len(line.split(delimiter))
+        if n_fields != width:
+            return f"expected {width} fields, got {n_fields}"
+        return "unparseable numeric field"
+
+    for lines, line_nos in _line_blocks(source):
+        if len(counts) == 1:  # the first non-blank line fixes the layout
+            if delimiter is None:
+                delimiter = _detect_delimiter(lines[0])
+            width = len(lines[0].split(delimiter))
+            if width not in (101, 102):
                 raise ParseError(
-                    f"expected 101 or 102 fields (count [+ user id] + 100 ratings), "
-                    f"got {len(fields)}",
-                    line_no,
+                    f"expected 101 or 102 fields (count [+ user id] + 100 ratings), got {width}",
+                    int(line_nos[0]),
                 )
-            expected_fields = len(fields)
-        if len(fields) != expected_fields:
-            raise ParseError(
-                f"expected {expected_fields} fields, got {len(fields)}", line_no
+        # One subarray field, so every block must have the first line's width.
+        row = np.dtype([("fields", np.float64, (width,))])
+        grid, error = _load_rows(lines, line_nos, delimiter, row, line_error)
+        grid = grid["fields"]
+        head, cells = grid[:, : width - 100], grid[:, width - 100 :]
+        # The user id and declared count must convert to int64 (NaN and inf do not).
+        bad_head = ~np.all(np.abs(head) < 2.0**63, axis=1)
+        rated = ~(np.abs(cells - JESTER_SENTINEL) < _SENTINEL_TOL)
+        bad_cell = np.any(JESTER_AFFINE.out_of_range(cells) & rated, axis=1)
+        declared, observed = head[:, -1], rated.sum(axis=1)
+        mismatch = ~bad_head & (np.trunc(declared) != observed)
+
+        # Rows are checked in file order, so the first failing row decides.
+        r = min(
+            _first(bad_head), _first(bad_cell), _first(mismatch) if strict_counts else len(grid)
+        )
+        for w in np.flatnonzero(mismatch[:r]):
+            warnings.warn(
+                f"line {line_nos[w]}: declared {int(declared[w])} ratings but found {observed[w]}",
+                stacklevel=2,
             )
-        try:
-            if expected_fields == 102:
-                user_id = int(float(fields[0]))
-                declared = int(float(fields[1]))
-                cells = fields[2:]
-            else:
-                user_id = len(user_ids)
-                declared = int(float(fields[0]))
-                cells = fields[1:]
-            raw_cells = [float(c) for c in cells]
-        except ValueError:
-            raise ParseError(f"unparseable numeric field", line_no) from None
+        if r < len(grid):
+            line_no = int(line_nos[r])
+            if bad_head[r]:
+                raise ParseError("unparseable numeric field", line_no)
+            if bad_cell[r]:
+                try:
+                    JESTER_AFFINE.normalize(cells[r, rated[r]])
+                except RatingRangeError as e:
+                    raise RatingRangeError(str(e), line_no) from None
+            raise ParseError(
+                f"declared {int(declared[r])} ratings but found {observed[r]}", line_no
+            )
+        if error is not None:
+            raise error
 
-        row_start = len(values)
-        for item_idx, raw in enumerate(raw_cells):
-            if abs(raw - JESTER_SENTINEL) < _SENTINEL_TOL:
-                continue
-            try:
-                values.append(normalize_rating(raw, JESTER_AFFINE))
-            except RatingRangeError as e:
-                raise RatingRangeError(str(e), line_no) from None
-            indices.append(item_idx)
-        observed = len(values) - row_start
-        if observed != declared:
-            msg = f"line {line_no}: declared {declared} ratings but found {observed}"
-            if strict_counts:
-                raise ParseError(f"declared {declared} ratings but found {observed}", line_no)
-            warnings.warn(msg, stacklevel=2)
-        user_ids.append(user_id)
-        indptr.append(len(values))
+        if width == 102:
+            user_ids.append(head[:, 0].astype(np.int64))
+        counts.append(observed)
+        indices.append(np.broadcast_to(np.arange(100, dtype=np.int32), rated.shape)[rated])
+        values.append(JESTER_AFFINE.normalize(cells[rated]))
 
+    counts = np.concatenate(counts)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     m = RatingMatrix(
-        n_users=len(user_ids),
+        n_users=len(counts),
         n_items=100,
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int32),
-        values=np.asarray(values, dtype=np.float64),
-        user_ids=np.asarray(user_ids, dtype=np.int64),
+        indptr=indptr,
+        indices=np.concatenate(indices),
+        values=np.concatenate(values),
+        user_ids=(
+            np.concatenate(user_ids) if width == 102 else np.arange(len(counts), dtype=np.int64)
+        ),
         item_ids=np.arange(100, dtype=np.int64),
         scheme=JESTER_AFFINE,
     )
@@ -338,19 +497,22 @@ def parse_jester(
 
 
 def build_matrix(
-    events: Iterable[RatingEvent],
+    events: RatingEvents | Iterable[RatingEvent],
     dedup: str = "keep_last",
     scheme: NormalizationScheme = IDENTITY_1_TO_5,
 ) -> RatingMatrix:
     """Assemble normalized events into a RatingMatrix.
 
-    Duplicate (user, item) pairs are resolved by ``dedup``: "keep_last"
-    (default, the later event wins), "keep_first", or "error".
+    ``events`` is the ``RatingEvents`` that ``parse_movielens`` returns, or any
+    iterable of ``RatingEvent``. Duplicate (user, item) pairs are resolved by
+    ``dedup``: "keep_last" (default, the later event wins), "keep_first", or
+    "error".
     """
     if dedup not in ("keep_last", "keep_first", "error"):
         raise ValueError(f"unknown dedup policy {dedup!r}")
-    events = list(events)
-    if not events:
+    if not isinstance(events, RatingEvents):
+        events = RatingEvents.from_events(events)
+    if not len(events):
         return RatingMatrix(
             n_users=0,
             n_items=0,
@@ -362,17 +524,7 @@ def build_matrix(
             scheme=scheme,
         )
 
-    users = np.asarray([e.user_id for e in events], dtype=np.int64)
-    items = np.asarray([e.item_id for e in events], dtype=np.int64)
-    vals = np.asarray([e.value for e in events], dtype=np.float64)
-    has_ts = [e.timestamp is not None for e in events]
-    if all(has_ts):
-        tstamps = np.asarray([e.timestamp for e in events], dtype=np.int64)
-    elif not any(has_ts):
-        tstamps = None
-    else:
-        raise ValueError("events must either all carry timestamps or none")
-
+    users, items, vals, tstamps = events.user_ids, events.item_ids, events.values, events.timestamps
     user_ids, u_idx = np.unique(users, return_inverse=True)
     item_ids, i_idx = np.unique(items, return_inverse=True)
 
@@ -501,18 +653,34 @@ def prefix(
     return idx[sel].copy(), vals[sel].copy()
 
 
+# Rows per block of canonical.csv text: bounds the export's memory at any
+# matrix size (a block's text is about 0.4 MB).
+_EXPORT_BLOCK = 16384
+
+
 def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
-    """Write the canonical ``user_id,item_id,value,timestamp`` export (empty timestamp if absent)."""
+    """Write the canonical ``user_id,item_id,value,timestamp`` export (empty timestamp if absent).
+
+    Values are written as ``repr(float)``. Rows go out in blocks of
+    ``_EXPORT_BLOCK``; each block formats each of its distinct values once.
+    """
 
     def _write(fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["user_id", "item_id", "value", "timestamp"])
-        for u in range(m.n_users):
-            lo, hi = m.indptr[u], m.indptr[u + 1]
-            uid = m.user_ids[u]
-            for p in range(lo, hi):
-                ts = "" if m.timestamps is None else int(m.timestamps[p])
-                w.writerow([uid, m.item_ids[m.indices[p]], repr(float(m.values[p])), ts])
+        fh.write("user_id,item_id,value,timestamp\n")
+        for lo in range(0, m.n_ratings, _EXPORT_BLOCK):
+            hi = min(lo + _EXPORT_BLOCK, m.n_ratings)
+            rows = np.searchsorted(m.indptr, np.arange(lo, hi), side="right") - 1
+            users = m.user_ids[rows].tolist()
+            items = m.item_ids[m.indices[lo:hi]].tolist()
+            # Distinct bit patterns, so 0.0 and -0.0 keep their own text.
+            vals = np.ascontiguousarray(m.values[lo:hi], dtype=np.float64)
+            bits, which = np.unique(vals.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            values = text[which].tolist()
+            stamps = [""] * (hi - lo) if m.timestamps is None else m.timestamps[lo:hi].tolist()
+            fh.write(
+                "".join([f"{u},{i},{v},{t}\n" for u, i, v, t in zip(users, items, values, stamps)])
+            )
 
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import RatingMatrix
 from .errors import DegenerateModelError
@@ -77,6 +76,8 @@ def davies_bouldin(model: ClusterModel, m: RatingMatrix) -> ClusterQuality:
     taken only over pairs whose centroids do not coincide. Fewer than two
     non-empty clusters, or all centroids coincident, is a degenerate model.
     """
+    from scipy.spatial.distance import cdist
+
     counts, scatter = _scatters(model, m)
     k = model.n_clusters
     usable = np.flatnonzero(counts > 0)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -392,7 +393,7 @@ def test_pipeline_with_empty_cohort_writes_nothing(config, flags, jester_file, t
 
 @pytest.mark.parametrize(
     "command, line",
-    [("fit", "kmeans_restarts = 0"), ("sweep", "eval_holdout = 0")],
+    [("fit", "kmeans_restarts = 0"), ("sweep", "eval_holdout = 0"), ("fit", "sample = 0")],
 )
 def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -405,7 +406,8 @@ def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path, c
         argv += ["--coeffs", "10"]
     assert main(argv) == EXIT_USAGE
     assert not (tmp_path / "o").exists()
-    assert line.split(" = ")[0] in capsys.readouterr().err  # names the key the user wrote
+    key = line.split(" = ")[0]  # the message names the key the user wrote, not a field
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 def test_curves_before_fit_tells_user_to_fit(jester_file, tmp_path, capsys):
@@ -496,6 +498,18 @@ def test_console_script_help_and_exit_codes(tmp_path):
         )
         assert res.returncode == EXIT_USAGE
         assert not (tmp_path / "coldstart_out").exists()
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # Only Davies-Bouldin needs cdist, so ingest and threshold never pay for its import.
+    package_root = str(Path(coldstart.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, coldstart.cli; print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_module_invocation_matches_script():

@@ -1,8 +1,12 @@
+import dataclasses
 import io
+import warnings
+from unittest import mock
 
+import dataset_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coldstart import dataset as ds
 from coldstart.errors import EmptyResultError, ParseError, RatingRangeError
@@ -271,3 +275,274 @@ def test_export_canonical_csv_without_timestamps(mk_matrix):
     buf = io.StringIO()
     ds.export_canonical_csv(m, buf)
     assert buf.getvalue().splitlines()[1] == "0,0,2.0,"
+
+
+# ---------------------------------------------------------------- parsers vs line-by-line oracles
+
+def _outcome(parse, text, block=None, **kwargs):
+    """(result or exception, warnings) of parsing ``text``, ``block`` lines per np.loadtxt call."""
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+        ds, "_PARSE_BLOCK", block or ds._PARSE_BLOCK
+    ):
+        warnings.simplefilter("always")
+        try:
+            result = parse(io.StringIO(text), **kwargs)
+        except Exception as e:  # noqa: BLE001 - compared with the oracle's
+            result = e
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_matrix(a, b):
+    assert (a.n_users, a.n_items, a.scheme) == (b.n_users, b.n_items, b.scheme)
+    for name in ("indptr", "indices", "values", "user_ids", "item_ids", "timestamps"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _assert_same_error(got, want):
+    assert type(got) is type(want), (got, want)
+    assert str(got) == str(want)
+    assert getattr(got, "line_no", None) == getattr(want, "line_no", None)
+
+
+def _assert_same_jester(text, block, **kwargs):
+    got, got_warnings = _outcome(ds.parse_jester, text, block, **kwargs)
+    want, want_warnings = _outcome(oracle.parse_jester, text, **kwargs)
+    assert got_warnings == want_warnings
+    if isinstance(want, Exception):
+        _assert_same_error(got, want)
+    else:
+        _assert_same_matrix(got, want)
+
+
+def _assert_same_movielens(text, block):
+    got, got_warnings = _outcome(ds.parse_movielens, text, block)
+    want, want_warnings = _outcome(oracle.parse_movielens, text)
+    assert got_warnings == want_warnings == []
+    if isinstance(want, Exception):
+        _assert_same_error(got, want)
+        return
+    assert len(got) == got.n_ratings == len(want)
+    assert list(got) == want
+    for dedup in ("keep_last", "keep_first", "error"):
+        try:
+            expected = ds.build_matrix(want, dedup=dedup)
+        except ValueError as e:
+            with pytest.raises(ValueError) as exc:
+                ds.build_matrix(got, dedup=dedup)
+            assert str(exc.value) == str(e)
+        else:
+            _assert_same_matrix(ds.build_matrix(got, dedup=dedup), expected)
+
+
+_SENTINELS = ["99", "99.0", "99.00000000001"]
+_RATINGS = ["-10", "10", "10.0", "-10.00", "0", "2.5", " 3.25 ", "-0.0", "7.13", "1e1"]
+_BAD_CELLS = ["10.01", "-10.5", "nan", "NaN", "inf", "-inf", "1e400", "x", "", "1.2.3", "99.5"]
+
+
+@st.composite
+def jester_grids(draw):
+    """Jester text: mostly well-formed rows, some with one corruption, some blank lines."""
+    with_id = draw(st.booleans())
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", " \t "])))
+            continue
+        cells = [draw(st.sampled_from(_SENTINELS)) for _ in range(3)] + ["99"] * 97
+        for j in draw(st.lists(st.integers(0, 99), max_size=6, unique=True)):
+            cells[j] = draw(st.one_of(st.sampled_from(_RATINGS), st.floats(-10, 10).map(repr)))
+        observed = sum(abs(float(c) - 99.0) >= 1e-9 for c in cells)
+        count = draw(st.sampled_from([str(observed), f"{observed}.0", f"{observed}.7"]))
+        fields = [count] + cells
+        if with_id:
+            fields.insert(0, draw(st.sampled_from(["7", "-3", "4.9", "0"])))
+        fault = draw(st.sampled_from([None] * 6 + ["cell", "count", "short", "long", "head"]))
+        if fault == "cell":
+            fields[-1 - draw(st.integers(0, 99))] = draw(st.sampled_from(_BAD_CELLS))
+        elif fault == "count":
+            fields[int(with_id)] = draw(
+                st.sampled_from([str(observed + 1), str(observed - 1), "nan", "inf", "-inf", "x"])
+            )
+        elif fault == "short":
+            fields.pop()
+        elif fault == "long":
+            fields.append("99")
+        elif fault == "head":
+            fields[0] = draw(st.sampled_from(["nan", "inf", "-inf", "x", ""]))
+        lines.append(delimiter.join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), delimiter
+
+
+_BLOCKS = st.sampled_from([1, 2, 3, None])  # lines per np.loadtxt call; None: the default
+
+
+@settings(max_examples=300, deadline=None)
+@given(jester_grids(), st.booleans(), st.booleans(), _BLOCKS)
+def test_parse_jester_matches_line_by_line_oracle(grid, strict_counts, explicit_delimiter, block):
+    text, delimiter = grid
+    kwargs = {"strict_counts": strict_counts}
+    if explicit_delimiter:
+        kwargs["delimiter"] = delimiter
+    _assert_same_jester(text, block, **kwargs)
+
+
+def _grid_line(count, cells, sep=","):
+    return sep.join([str(count)] + [str(c) for c in cells])
+
+
+_ROW = [3.5, -10, 10] + [99] * 97  # three rated cells
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n  \n\t\n",
+        _grid_line(3, _ROW) + "\n   \n\n" + _grid_line(3, _ROW) + "\n",
+        " \t \n" + _grid_line(3, _ROW, "\t") + "\n" + _grid_line(3, _ROW, "\t"),
+        "12," + _grid_line(3, _ROW) + "\n-4," + _grid_line(3, _ROW),
+        _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW[:99]),
+        _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW + [99]),
+        _grid_line(3, _ROW[:98]),
+        _grid_line(4, _ROW) + "\n" + _grid_line(3, _ROW[:3] + ["nan"] + _ROW[4:]),
+        _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["inf"] + _ROW[4:]),
+        _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["-inf"] + _ROW[4:]),
+        _grid_line(4, _ROW[:3] + [10.5] + _ROW[4:]) + "\n" + _grid_line(3, _ROW[:99] + ["x"]),
+        _grid_line(5, _ROW) + "\n" + _grid_line(2, _ROW) + "\n" + _grid_line(3, _ROW[:50]),
+        _grid_line(5, _ROW) + "\n" + _grid_line("nan", _ROW) + "\n" + _grid_line(1, _ROW),
+        "inf," + _grid_line(3, _ROW),
+        _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW).replace(",", "\t"),
+    ],
+)
+@pytest.mark.parametrize("strict_counts", [False, True])
+@pytest.mark.parametrize("block", [1, 2, None])
+def test_parse_jester_cases_match_oracle(text, strict_counts, block):
+    _assert_same_jester(text, block, strict_counts=strict_counts)
+
+
+@st.composite
+def movielens_logs(draw):
+    """MovieLens text: small id ranges (so duplicate pairs occur), some faults, blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        fields = [
+            str(draw(st.integers(0, 4))),
+            str(draw(st.integers(0, 4))),
+            draw(st.sampled_from(["1", "2", "3.5", "4.0", "5", "1.25", " 4 "])),
+            str(draw(st.integers(-5, 2**40))),
+        ]
+        fault = draw(st.sampled_from([None] * 8 + ["value", "id", "int", "fields", "colon"]))
+        if fault == "value":
+            fields[2] = draw(st.sampled_from(["0.5", "5.5", "6", "-1", "nan", "inf", "x", ""]))
+        elif fault == "id":
+            fields[draw(st.integers(0, 1))] = draw(st.sampled_from(["-1", "-7"]))
+        elif fault == "int":
+            bad = draw(st.sampled_from(["1.0", "1e3", "x", ""]))
+            fields[draw(st.sampled_from([0, 1, 3]))] = bad
+        elif fault == "fields":
+            fields = fields[:3] if draw(st.booleans()) else fields + ["9"]
+        line = "::".join(fields)
+        if fault == "colon":
+            line = line.replace("::", ":", 1)
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(movielens_logs(), _BLOCKS)
+def test_parse_movielens_matches_line_by_line_oracle(text, block):
+    _assert_same_movielens(text, block)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n \n\t\n",
+        "1::2::3::4\n\n  \n2::2::4.5::5\n",
+        "1:2::3::4\n",
+        "1::2:::3::4\n",
+        "1::2::3\n",
+        "1::2::3::4::5\n",
+        "1::2::3::4\n-1::2::3::4\n",
+        "1::2::3::4\n1::-2::3::4\n1::2::x::4\n",
+        "1::2::6::4\n1::2\n",
+        "1::2::nan::4\n",
+        "1::2::inf::4\n",
+        "1::2::3::4\n1::2::5::6\n3::1::1::2\n1::2::2::9\n",
+        "1 :: 2 :: 3 :: 4\n",
+        "+1::2::3::-4\n",
+        "1::2::3::4.0\n",
+    ],
+)
+@pytest.mark.parametrize("block", [1, 2, None])
+def test_parse_movielens_cases_match_oracle(text, block):
+    _assert_same_movielens(text, block)
+
+
+def test_parse_jester_rejects_id_beyond_int64():
+    # The line-by-line parser accepted this id, then overflowed converting it.
+    text = "\n\n1e20," + _grid_line(3, _ROW) + "\n"
+    with pytest.raises(ParseError, match="unparseable numeric field") as exc:
+        ds.parse_jester(io.StringIO(text))
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("field", ["1_0", "99999999999999999999"])
+def test_parse_movielens_names_line_of_number_numpy_rejects(field):
+    # The line-by-line parser accepted both; the long id then overflowed in build_matrix.
+    with pytest.raises(ParseError, match="unparseable field") as exc:
+        ds.parse_movielens(io.StringIO(f"1::2::3::4\n\n{field}::2::3::4\n"))
+    assert exc.value.line_no == 3
+
+
+def test_movielens_events_read_like_a_list():
+    events = ds.parse_movielens(io.StringIO("5::7::2::10\n"))
+    assert isinstance(events, ds.RatingEvents)
+    assert len(events) == events.n_ratings == 1
+    assert list(events) == [ds.RatingEvent(5, 7, 2.0, 10)]
+    assert events[-1] == ds.RatingEvent(5, 7, 2.0, 10)
+    generated = ds.build_matrix(e for e in events)
+    _assert_same_matrix(generated, ds.build_matrix(events))
+
+
+# ---------------------------------------------------------------- export vs csv.writer
+
+def _export_both(m, block, monkeypatch):
+    monkeypatch.setattr(ds, "_EXPORT_BLOCK", block)
+    got, want = io.StringIO(), io.StringIO()
+    ds.export_canonical_csv(m, got)
+    oracle.export_canonical_csv(m, want)
+    return got.getvalue(), want.getvalue()
+
+
+@pytest.mark.parametrize("with_timestamps", [False, True])
+def test_export_blocks_match_csv_writer(with_timestamps, monkeypatch, mk_matrix):
+    # 17-digit reprs, both zeros, and rows of 0-6 ratings that straddle the
+    # 7-row block boundaries; ids are not row indices.
+    vals = [0.1 + 0.2, 1 / 3, 2.0, -0.0, 0.0, 4.999999999999999, 1e-300, 123456.789]
+    rng = np.random.default_rng(5)
+    dense = np.full((9, 8), np.nan)
+    for u, n in enumerate([3, 0, 6, 5, 1, 0, 4, 2, 6]):
+        cols = rng.choice(8, size=n, replace=False)
+        dense[u, cols] = rng.choice(vals, size=n)
+    ts = rng.integers(-10, 2**40, size=dense.shape) if with_timestamps else None
+    m = mk_matrix(dense, timestamps=ts)
+    m = dataclasses.replace(
+        m, user_ids=np.arange(9) * 11 - 20, item_ids=np.arange(8) + 100
+    )
+    assert m.n_ratings == 27
+    for block in (1, 7, 27, 65536):
+        got, want = _export_both(m, block, monkeypatch)
+        assert got == want
+    assert "0.30000000000000004" in got and ",-0.0," in got and ",0.0," in got
