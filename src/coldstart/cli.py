@@ -316,7 +316,8 @@ def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
             f"sweep: k_coeff={row.k_coeff} n_clusters={row.n_clusters} "
             f"ndcg={row.ndcg_mean:.6f} map={row.map_mean:.6f}"
         )
-    print(f"sweep: best_by_ndcg={result.best_by_ndcg} best_by_map={result.best_by_map}")
+    best_map = "n/a" if result.best_by_map is None else result.best_by_map
+    print(f"sweep: best_by_ndcg={result.best_by_ndcg} best_by_map={best_map}")
     return {
         "sweep_best_by_ndcg": result.best_by_ndcg,
         "sweep_best_by_map": result.best_by_map,

@@ -5,6 +5,13 @@ each coefficient, ranks the holdout together with a sampled pool of unrated
 items, and records mean NDCG and MAP per coefficient. Holdout and pool are
 drawn once from the eval seed, so every coefficient is scored on identical
 splits and the whole sweep is reproducible.
+
+Each fit gets one items x clusters table of mean ratings (two
+``np.bincount`` calls over the training columns); a candidate's score is one
+lookup in it. Users are ranked in blocks of ``_RANK_BLOCK``, which bounds the
+sort's memory: a block pads its candidate lists into one array and sorts each
+row by (-score, item). AP sums in rank order and NDCG calls ``ndcg_at_n`` per
+row, so both keep the bits of the per-user definitions.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingMatrix, _gather_rows
+from .dataset import RatingMatrix
 from .kmeans import ClusterModel, KMeansConfig, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
@@ -53,7 +60,7 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
     best_by_ndcg: int
-    best_by_map: int
+    best_by_map: int | None  # None when no coefficient has a defined MAP
 
 
 def ndcg_at_n(ranked_gains, ideal_gains, n: int) -> float:
@@ -103,21 +110,48 @@ def predict_score(model: ClusterModel, m: RatingMatrix, user: int, item: int) ->
         raise ValueError(f"user index {user} out of range [0, {m.n_users})")
     if not 0 <= item < m.n_items:
         raise ValueError(f"item index {item} out of range [0, {m.n_items})")
-    col = m.to_csr().tocsc()[:, item]
-    raters = col.indices
-    vals = col.data
-    mask = (model.assignments[raters] == model.assignments[user]) & (raters != user)
-    if mask.any():
-        return float(vals[mask].mean())
-    if len(vals):
-        return float(vals.mean())
-    return FALLBACK_SCORE
+    k = len(model.centroids)
+    labels = model.assignments.copy()
+    labels[user] = k  # a cluster of one: the user's rating counts only toward the item mean
+    pos = np.flatnonzero(m.indices == item)
+    raters = np.searchsorted(m.indptr, pos, side="right") - 1
+    table = _score_table(np.array([0, len(pos)]), raters, m.values[pos], labels, k + 1)
+    return float(table[0, model.assignments[user]])
+
+
+def _score_table(
+    col_ptr: np.ndarray, raters: np.ndarray, vals: np.ndarray, labels: np.ndarray, k: int
+) -> np.ndarray:
+    """Items x k table of each cluster's mean rating of each item.
+
+    The columns are items in compressed form (``raters``/``vals`` delimited by
+    ``col_ptr``). A cell no cluster member rated holds the item's mean rating,
+    or FALLBACK_SCORE for an item nobody rated. The bins are item-major,
+    ``item * k + label``, so each cell sums its raters in column order.
+    """
+    n_items = len(col_ptr) - 1
+    n_raters = np.diff(col_ptr)
+    item_total = np.diff(np.concatenate([[0.0], np.cumsum(vals)])[col_ptr])
+    item_mean = np.where(n_raters > 0, item_total / np.maximum(n_raters, 1), FALLBACK_SCORE)
+    # In place where possible: the table's peak memory is the sweep's peak.
+    bins = np.repeat(np.arange(n_items, dtype=np.int64) * k, n_raters)
+    bins += labels[raters]
+    cnt = np.bincount(bins, minlength=n_items * k).reshape(n_items, k)
+    table = np.bincount(bins, weights=vals, minlength=n_items * k).reshape(n_items, k)
+    table = table.astype(np.float64, copy=False)  # integer zeros when no item has a rater
+    table /= np.maximum(cnt, 1)
+    np.copyto(table, item_mean[:, None], where=cnt == 0)
+    return table
 
 
 def _holdout_split(
     m: RatingMatrix, ecfg: EvalConfig
-) -> tuple[RatingMatrix, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Hide a seeded holdout per user; returns (train matrix, held items, held gains, pools)."""
+) -> tuple[RatingMatrix, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Hide a seeded holdout per user; returns (train matrix, held items, held gains, pools).
+
+    Held items and gains are users x holdout arrays. Per user the RNG draws
+    the holdout, then the pool from the ascending unrated items.
+    """
     lengths = m.row_lengths()
     bad = np.flatnonzero(lengths <= ecfg.holdout_per_user)
     if len(bad):
@@ -127,22 +161,21 @@ def _holdout_split(
             f"holdout of {ecfg.holdout_per_user} infeasible for users: {shown}{more}"
         )
     rng = np.random.default_rng(ecfg.seed)
-    keep = np.ones(m.n_ratings, dtype=bool)
-    held_items: list[np.ndarray] = []
-    held_gains: list[np.ndarray] = []
+    held = np.empty((m.n_users, ecfg.holdout_per_user), dtype=np.int64)
     pools: list[np.ndarray] = []
-    all_items = np.arange(m.n_items)
+    unrated = np.ones(m.n_items, dtype=bool)
     for u in range(m.n_users):
-        idx, vals = m.row(u)
-        local = rng.choice(len(idx), size=ecfg.holdout_per_user, replace=False)
-        keep[m.indptr[u] + local] = False
-        held_items.append(idx[local].copy())
-        held_gains.append(vals[local].copy())
-        unrated = np.setdiff1d(all_items, idx, assume_unique=True)
-        n_pool = min(ecfg.candidate_pool, len(unrated))
-        pool = rng.choice(unrated, size=n_pool, replace=False) if n_pool else unrated[:0]
-        pools.append(pool)
+        lo, hi = int(m.indptr[u]), int(m.indptr[u + 1])
+        held[u] = lo + rng.choice(hi - lo, size=ecfg.holdout_per_user, replace=False)
+        rated = m.indices[lo:hi]
+        unrated[rated] = False
+        free = np.flatnonzero(unrated)
+        unrated[rated] = True
+        n_pool = min(ecfg.candidate_pool, len(free))
+        pools.append(rng.choice(free, size=n_pool, replace=False) if n_pool else free[:0])
 
+    keep = np.ones(m.n_ratings, dtype=bool)
+    keep[held.ravel()] = False
     lens_new = lengths - ecfg.holdout_per_user
     train = RatingMatrix(
         n_users=m.n_users,
@@ -155,28 +188,54 @@ def _holdout_split(
         scheme=m.scheme,
         timestamps=m.timestamps[keep] if m.timestamps is not None else None,
     )
-    return train, held_items, held_gains, pools
+    return train, m.indices[held], m.values[held], pools
 
 
-def _score_candidates(
-    model: ClusterModel,
-    train_csc,
-    global_sum: np.ndarray,
-    global_cnt: np.ndarray,
-    user: int,
-    items: np.ndarray,
-) -> np.ndarray:
-    """Vectorized predict_score over one user's candidate items."""
-    cl = model.assignments[user]
-    flat, seg = _gather_rows(train_csc.indptr, items)
-    raters = train_csc.indices[flat]
-    vals = train_csc.data[flat]
-    sel = (model.assignments[raters] == cl) & (raters != user)
-    co_sum = np.bincount(seg[sel], weights=vals[sel], minlength=len(items))
-    co_cnt = np.bincount(seg[sel], minlength=len(items))
-    g_cnt = global_cnt[items]
-    g_mean = np.where(g_cnt > 0, global_sum[items] / np.maximum(g_cnt, 1), FALLBACK_SCORE)
-    return np.where(co_cnt > 0, co_sum / np.maximum(co_cnt, 1), g_mean)
+_RANK_BLOCK = 256
+
+
+def _rank_block(
+    table: np.ndarray,
+    labels: np.ndarray,
+    held_items: np.ndarray,
+    held_gains: np.ndarray,
+    pools: list[np.ndarray],
+    ecfg: EvalConfig,
+) -> tuple[list[float], np.ndarray]:
+    """NDCG@n of each user in a block, and AP of each user with a relevant held-out item.
+
+    Each row holds a user's held items then pool, padded to the longest row
+    with score -inf and an item past the last, so padding ranks last.
+    """
+    h = held_items.shape[1]
+    n_cand = h + np.array([len(p) for p in pools], dtype=np.int64)
+    cols = np.arange(n_cand.max())
+    real = cols < n_cand[:, None]
+    in_pool = real & (cols >= h)
+    items = np.full(real.shape, len(table), dtype=np.int64)
+    items[:, :h] = held_items
+    items[in_pool] = np.concatenate(pools)
+    gains = np.full(real.shape, -np.inf)
+    gains[:, :h] = held_gains
+    gains[in_pool] = 0.0
+    scores = np.full(real.shape, -np.inf)
+    scores[real] = table[items[real], np.repeat(labels, n_cand)]
+
+    order = np.lexsort((items, -scores))
+    ranked = np.take_along_axis(gains, order, axis=1)
+    ideal = np.sort(gains, axis=1)[:, ::-1]
+    # Row by row, so each DCG takes the same dot product as ndcg_at_n alone.
+    ndcgs = [ndcg_at_n(ranked[r, :n], ideal[r, :n], ecfg.ndcg_cutoff) for r, n in enumerate(n_cand)]
+
+    relevant = np.zeros(real.shape, dtype=bool)
+    relevant[:, :h] = held_gains >= ecfg.relevance_threshold
+    hit = np.take_along_axis(relevant, order, axis=1)
+    precision = np.where(hit, np.cumsum(hit, axis=1) / (cols + 1), 0.0)
+    # cumsum adds the precisions in rank order, as average_precision does.
+    total = np.cumsum(precision, axis=1)[:, -1]
+    n_rel = relevant.sum(axis=1)
+    has = n_rel > 0
+    return ndcgs, total[has] / n_rel[has]
 
 
 def sweep_coefficient(
@@ -195,47 +254,44 @@ def sweep_coefficient(
         raise ValueError("every coefficient must be >= 1")
 
     train, held_items, held_gains, pools = _holdout_split(m, ecfg)
-    train_csc = train.to_csr().tocsc()
-    global_cnt = np.diff(train_csc.indptr)
-    sums = np.concatenate([[0.0], np.cumsum(train_csc.data)])
-    global_sum = sums[train_csc.indptr[1:]] - sums[train_csc.indptr[:-1]]
+    csc = train.to_csr().tocsc()
 
     rows = []
     for coeff in coeffs:
         k = n_clusters_from_coeff(train.n_users, coeff)
         kcfg = dataclasses.replace(kcfg_template, n_clusters=k)
-        model = fit(train, kcfg, threads=threads)
+        labels = fit(train, kcfg, threads=threads).assignments
+        # A candidate is never in its user's training row, so no cell needs
+        # the user's own rating taken out.
+        table = _score_table(csc.indptr, csc.indices, csc.data, labels, k)
 
-        ndcgs = np.zeros(train.n_users)
-        aps = []
-        for u in range(train.n_users):
-            items = np.concatenate([held_items[u], pools[u]])
-            gains = np.concatenate([held_gains[u], np.zeros(len(pools[u]))])
-            scores = _score_candidates(model, train_csc, global_sum, global_cnt, u, items)
-            order = np.lexsort((items, -scores))
-            ndcgs[u] = ndcg_at_n(
-                gains[order], np.sort(gains)[::-1], ecfg.ndcg_cutoff
+        ndcgs, aps = [], []
+        for lo in range(0, train.n_users, _RANK_BLOCK):
+            hi = min(lo + _RANK_BLOCK, train.n_users)
+            block_ndcgs, block_aps = _rank_block(
+                table, labels[lo:hi], held_items[lo:hi], held_gains[lo:hi], pools[lo:hi], ecfg
             )
-            relevant = held_items[u][held_gains[u] >= ecfg.relevance_threshold]
-            if len(relevant):
-                aps.append(average_precision(items[order], relevant))
+            ndcgs += block_ndcgs
+            aps.append(block_aps)
+        aps = np.concatenate(aps)
         rows.append(
             SweepRow(
                 k_coeff=coeff,
                 n_clusters=k,
-                ndcg_mean=float(ndcgs.mean()),
-                map_mean=float(np.mean(aps)) if aps else float("nan"),
+                ndcg_mean=float(np.mean(ndcgs)),
+                map_mean=float(aps.mean()) if len(aps) else float("nan"),
             )
         )
 
-    def argmax(rows, key):
-        best = max(key(r) for r in rows)
-        return min(r.k_coeff for r in rows if key(r) == best)
+    def argmax(key):  # smallest coefficient with the largest value; None if all are NaN
+        defined = [r for r in rows if not np.isnan(key(r))]
+        best = max((key(r) for r in defined), default=None)
+        return min((r.k_coeff for r in defined if key(r) == best), default=None)
 
     return SweepResult(
         rows=tuple(rows),
-        best_by_ndcg=argmax(rows, lambda r: r.ndcg_mean),
-        best_by_map=argmax(rows, lambda r: (-np.inf if np.isnan(r.map_mean) else r.map_mean)),
+        best_by_ndcg=argmax(lambda r: r.ndcg_mean),
+        best_by_map=argmax(lambda r: r.map_mean),
     )
 
 
@@ -245,4 +301,5 @@ def write_sweep_csv(result: SweepResult, dest: str | Path) -> None:
         w.writerow(["k_coeff", "n_clusters", "ndcg_mean", "map_mean"])
         for r in result.rows:
             w.writerow([r.k_coeff, r.n_clusters, repr(r.ndcg_mean), repr(r.map_mean)])
-        fh.write(f"# best_by_ndcg={result.best_by_ndcg} best_by_map={result.best_by_map}\n")
+        best_map = "n/a" if result.best_by_map is None else result.best_by_map
+        fh.write(f"# best_by_ndcg={result.best_by_ndcg} best_by_map={best_map}\n")

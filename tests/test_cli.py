@@ -313,6 +313,28 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_without_relevant_items_reports_no_best_by_map(tmp_path, capsys):
+    # every rating is below the default relevance threshold of 4
+    rng = np.random.default_rng(3)
+    data = tmp_path / "low.dat"
+    data.write_text("".join(
+        f"{u}::{it}::{rng.integers(1, 4)}::{1000 + u * 100 + j}\n"
+        for u in range(12)
+        for j, it in enumerate(rng.choice(30, size=15, replace=False))
+    ))
+    out = tmp_path / "o"
+    rc = main([
+        "sweep", "--dataset", "movielens", "--input", str(data), "--coeffs", "2,4",
+        "--min-ratings", "11", "--seed", "0", "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    assert "best_by_map=n/a" in capsys.readouterr().out
+    assert (out / "sweep.csv").read_text().splitlines()[-1].endswith(" best_by_map=n/a")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sweep_best_by_map"] is None
+    assert summary["sweep_best_by_ndcg"] in (2, 4)
+
+
 def test_sweep_without_coeffs_is_usage_error(jester_file, tmp_path, capsys):
     rc = main([
         "sweep", "--dataset", "jester", "--input", str(jester_file),

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import recsys_oracle as oracle
+from conftest import matrix_from_dense
 from hypothesis import given, settings, strategies as st
 
 from coldstart import recsys_eval as rv
@@ -193,6 +197,111 @@ def test_sweep_infeasible_holdout_names_users(mk_matrix):
     ecfg = rv.EvalConfig(holdout_per_user=5, candidate_pool=2)
     with pytest.raises(ValueError, match="infeasible"):
         rv.sweep_coefficient(m, [1], KMeansConfig(n_clusters=1), ecfg)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Small rating matrices with integer ratings (tied scores), items nobody
+    rates (the fallback score), users who rate almost every item (short pools)
+    and, with a high threshold or low ratings, users with no relevant item."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_users = draw(st.integers(2, 20))
+    holdout = draw(st.integers(1, 8))
+    n_items = draw(st.integers(holdout + 1, 30))
+    unrated = rng.choice(n_items, size=draw(st.integers(0, n_items - holdout - 1)), replace=False)
+    rateable = np.setdiff1d(np.arange(n_items), unrated)
+    top = draw(st.integers(1, 5))
+    dense = np.full((n_users, n_items), np.nan)
+    for u in range(n_users):
+        n = int(rng.integers(holdout + 1, len(rateable) + 1))
+        dense[u, rng.choice(rateable, size=n, replace=False)] = rng.integers(1, top + 1, size=n)
+    stamps = rng.integers(0, 1000, size=dense.shape) if draw(st.booleans()) else None
+    ecfg = rv.EvalConfig(
+        holdout_per_user=holdout,
+        candidate_pool=draw(st.integers(0, n_items)),
+        relevance_threshold=draw(st.sampled_from([1.0, 3.0, 4.0, 5.0])),
+        ndcg_cutoff=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    coeffs = draw(st.lists(st.integers(1, n_users), min_size=1, max_size=3))
+    return matrix_from_dense(dense, stamps), coeffs, ecfg
+
+
+@given(sweep_cases(), st.sampled_from([1, 7, 10_000]), st.integers(0, 50))
+@settings(max_examples=80, deadline=None)
+def test_sweep_matches_per_user_oracle(case, block, seed):
+    m, coeffs, ecfg = case
+    kcfg = KMeansConfig(n_clusters=1, restarts=1, max_steps=5, seed=seed)
+
+    train, held, gains, pools = rv._holdout_split(m, ecfg)
+    o_train, o_held, o_gains, o_pools = oracle.holdout_split(m, ecfg)
+    for field in ("indptr", "indices", "values", "timestamps"):
+        got, want = getattr(train, field), getattr(o_train, field)
+        assert (got is None and want is None) or np.array_equal(got, want), field
+    assert np.array_equal(held, np.stack(o_held)) and held.dtype == o_held[0].dtype
+    assert np.array_equal(gains, np.stack(o_gains))
+    assert len(pools) == len(o_pools)
+    assert all(np.array_equal(p, q) for p, q in zip(pools, o_pools))
+
+    with mock.patch.object(rv, "_RANK_BLOCK", block):
+        got = rv.sweep_coefficient(m, coeffs, kcfg, ecfg)
+    want = oracle.sweep_coefficient(m, coeffs, kcfg, ecfg)
+
+    def exact(result):
+        return [(r.k_coeff, r.n_clusters, repr(r.ndcg_mean), repr(r.map_mean)) for r in result.rows]
+
+    assert exact(got) == exact(want)
+    assert got.best_by_ndcg == want.best_by_ndcg
+    if all(np.isnan(r.map_mean) for r in want.rows):
+        assert got.best_by_map is None
+    else:
+        assert got.best_by_map == want.best_by_map
+
+
+@pytest.mark.parametrize("block", [7, 256])
+def test_rank_blocks_match_per_user_metrics_exactly(block):
+    # Per user, because a last-bit difference in one user's AP or NDCG can
+    # vanish in the mean. Long candidate lists with many relevant items make
+    # the order in which AP and DCG add their terms show.
+    rng = np.random.default_rng(5)
+    dense = np.where(rng.random((300, 60)) < 0.4, rng.integers(1, 6, size=(300, 60)), np.nan)
+    dense[:, :9] = rng.integers(1, 6, size=(300, 9))
+    ecfg = rv.EvalConfig(holdout_per_user=8, candidate_pool=30, relevance_threshold=2.0, seed=3)
+    m = matrix_from_dense(dense)
+    k = 15
+    labels = rng.integers(0, k, size=m.n_users)
+    train, held, gains, pools = rv._holdout_split(m, ecfg)
+    csc = train.to_csr().tocsc()
+    table = rv._score_table(csc.indptr, csc.indices, csc.data, labels, k)
+    ndcgs, aps = [], []
+    for lo in range(0, m.n_users, block):
+        part = slice(lo, lo + block)
+        block_ndcgs, block_aps = rv._rank_block(
+            table, labels[part], held[part], gains[part], pools[part], ecfg
+        )
+        ndcgs += block_ndcgs
+        aps += list(block_aps)
+    want_ndcgs, want_aps = oracle.user_metrics(
+        _model(np.zeros((k, m.n_items)), labels), train, list(held), list(gains), pools, ecfg
+    )
+    assert [repr(float(v)) for v in ndcgs] == [repr(v) for v in want_ndcgs.tolist()]
+    assert [repr(float(v)) for v in aps] == [repr(v) for v in want_aps]
+
+
+@given(sweep_cases())
+@settings(max_examples=60, deadline=None)
+def test_holdout_and_pool_never_meet_the_training_row(case):
+    # This is why the table needs no per-user exclusion: a candidate is never
+    # among the ratings its user's cluster contributes.
+    m, _, ecfg = case
+    train, held, _, pools = rv._holdout_split(m, ecfg)
+    for u in range(m.n_users):
+        row, _ = train.row(u)
+        assert len(np.unique(pools[u])) == len(pools[u])
+        assert len(np.unique(held[u])) == len(held[u])
+        assert not np.intersect1d(held[u], pools[u]).size
+        assert not np.intersect1d(held[u], row).size
+        assert not np.intersect1d(pools[u], row).size
 
 
 def test_write_sweep_csv(tmp_path):
