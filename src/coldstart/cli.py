@@ -294,7 +294,14 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
             print(f"warning: cluster quality unavailable: {e}", file=sys.stderr)
     db_text = "n/a" if db_signed is None else repr(db_signed)
     print(f"fit: n_clusters={k} sse={model.sse!r} db_signed={db_text}")
-    return {"n_clusters": k, "sse": model.sse, "db_signed": db_signed}
+    return {
+        "n_clusters": k,
+        "sse": model.sse,
+        "db_signed": db_signed,
+        "kmeans_kernel": model.kernel,
+        "kmeans_fill_ratio": km.fill_ratio(m),
+        "kmeans_blas_thread_cap": km.blas_thread_cap_found(),
+    }
 
 
 def _sweep_users(cfg: RunConfig, m: ds.RatingMatrix) -> ds.RatingMatrix:
@@ -312,9 +319,10 @@ def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     )
     rv.write_sweep_csv(result, out / "sweep.csv")
     for row in result.rows:
+        map_text = "n/a" if np.isnan(row.map_mean) else f"{row.map_mean:.6f}"
         print(
             f"sweep: k_coeff={row.k_coeff} n_clusters={row.n_clusters} "
-            f"ndcg={row.ndcg_mean:.6f} map={row.map_mean:.6f}"
+            f"ndcg={row.ndcg_mean:.6f} map={map_text}"
         )
     best_map = "n/a" if result.best_by_map is None else result.best_by_map
     print(f"sweep: best_by_ndcg={result.best_by_ndcg} best_by_map={best_map}")

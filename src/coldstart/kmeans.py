@@ -1,18 +1,28 @@
-"""Seedable k-means over sparse rating rows with squared-Euclidean distance.
+"""Seedable k-means over rating rows with squared-Euclidean distance.
 
-Unrated dimensions enter distances and centroid means as 0.0, which is exactly
-the sparse-matrix semantics, so Lloyd iterations run on CSR data directly.
+Unrated dimensions enter distances and centroid means as 0.0. Rows meet
+centroids through one product kernel, chosen once per matrix from its fill
+ratio: a dense array multiplied by BLAS when at least ``DENSE_FILL`` of the
+cells hold a rating, the CSR matrix otherwise. The k-means++ init, every Lloyd
+assignment, the empty-cluster repair and ``load_model``'s reassignment all go
+through it. Centroid means are always a CSR segment sum, so they do not depend
+on the kernel.
+
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
-thread count: restarts are the unit of parallelism, each one runs whole on one
-thread, and the best is picked in restart order.
+thread count: restarts are the only parallel level, each one runs whole on one
+thread, and the best is picked in restart order. OpenBLAS is held to one
+thread while k-means runs, because its thread count changes the last bits of
+some products.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +30,19 @@ from scipy import sparse
 
 from .dataset import RatingMatrix
 
-_CHUNK = 8192
+# Fill ratio (ratings / cells) from which rows are multiplied as a dense
+# array. Measured with one BLAS thread on random grids (2-vCPU Xeon, OpenBLAS
+# 0.3.31): a whole fit (1 restart, 10 steps) crosses over at about 0.08 fill
+# on 12,500 x 100 with k = 250 and 0.16 on 5,000 x 1,200 with k = 100; at
+# 0.25 dense wins on both (1.7x and 1.3x). The k-means++ matrix-vector
+# products alone cross over only at 0.3-0.45. Above 0.25 the dense array
+# takes at most 32 bytes per rating, against 12 for CSR.
+DENSE_FILL = 0.25
+
+_CHUNK = 8192  # CSR rows per distance block
+# Dense rows per distance block: 2 MB of distances at k = 250. 8,192-row
+# blocks raised jester-fit's peak RSS by 10-40 MB (they land on thread heaps).
+_DENSE_CHUNK = 1024
 
 MODEL_FORMAT = "coldstart-kmeans v1"
 
@@ -55,6 +77,8 @@ class ClusterModel:
 
     `step_sse` is populated only when the fit was asked to collect it: one
     tuple of per-step SSE values per executed restart, in restart order.
+    `kernel` names the product kernel that assigned the rows ("dense" or
+    "csr"); it is None for a model built by hand.
     """
 
     centroids: np.ndarray
@@ -63,6 +87,7 @@ class ClusterModel:
     config_fingerprint: str
     seed: int = 0
     step_sse: tuple[tuple[float, ...], ...] | None = None
+    kernel: str | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -105,19 +130,84 @@ def _row_sq_norms(m: RatingMatrix) -> np.ndarray:
     return sq[m.indptr[1:]] - sq[m.indptr[:-1]]
 
 
-def _assign_all(
-    X: sparse.csr_matrix, xnorms: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row (ties to the lowest index) and the distance to it.
+def fill_ratio(m: RatingMatrix) -> float:
+    """Share of the user x item cells that hold a rating."""
+    cells = m.n_users * m.n_items
+    return m.n_ratings / cells if cells else 0.0
 
-    Rows are taken in `_CHUNK`-row blocks only to bound the distance block's memory.
+
+def _kernel_rows(m: RatingMatrix, csr: sparse.csr_matrix):
+    """The rows as the product kernel takes them, and the kernel's name."""
+    if fill_ratio(m) >= DENSE_FILL:
+        return csr.toarray(), "dense"
+    return csr, "csr"
+
+
+def _dense_rows(X, rows) -> np.ndarray:
+    """The given rows of a dense or CSR matrix as a dense 2-D array."""
+    return X[rows] if isinstance(X, np.ndarray) else X[rows].toarray()
+
+
+@cache
+def _openblas_set_threads():
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with numpy, or None.
+
+    Despite its name it sets the process-wide thread count; it returns the
+    previous count.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            fn = ctypes.CDLL(str(lib)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = ctypes.c_int
+        return fn
+    return None
+
+
+def blas_thread_cap_found() -> bool:
+    """Whether k-means can hold OpenBLAS to one thread (else it runs at its own count)."""
+    return _openblas_set_threads() is not None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the block, then restore its count.
+
+    The count decides how OpenBLAS splits a product, and a cell at the edge
+    of a split can come out different in its last bits. With one thread every
+    product is the same for any ``threads`` and any OPENBLAS_NUM_THREADS, and
+    restarts stay the only parallel level. The count is process-wide, so the
+    block is entered from the thread that starts the work, not per worker.
+    """
+    set_threads = _openblas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    previous = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+def _assign_all(X, xnorms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per row of a dense or CSR matrix and the distance to it.
+
+    Ties go to the lowest index; BLAS can round two exactly tied distances
+    apart, so on a dense matrix that holds for the computed distances.
+    Rows are taken in blocks (`_DENSE_CHUNK` dense, `_CHUNK` CSR) only to
+    bound the distance block's memory.
     """
     n = X.shape[0]
+    step = _DENSE_CHUNK if isinstance(X, np.ndarray) else _CHUNK
     cnorms = np.einsum("ij,ij->i", centroids, centroids)
     labels = np.empty(n, dtype=np.intp)
     dists = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         d = X[lo:hi] @ centroids.T
         d *= -2.0
         d += xnorms[lo:hi, None]
@@ -129,7 +219,7 @@ def _assign_all(
 
 
 def _repair_empty(
-    X: sparse.csr_matrix,
+    X,
     labels: np.ndarray,
     dists: np.ndarray,
     centroids: np.ndarray,
@@ -145,7 +235,7 @@ def _repair_empty(
         counts[labels[p]] -= 1
         labels[p] = j
         counts[j] = 1
-        centroids[j] = np.asarray(X[p].todense()).ravel()
+        centroids[j] = _dense_rows(X, [p])[0]
         dists[p] = 0.0
 
 
@@ -162,17 +252,17 @@ def _cluster_means(X: sparse.csr_matrix, labels: np.ndarray, k: int) -> np.ndarr
 
 
 def _init_centroids(
-    X: sparse.csr_matrix, xnorms: np.ndarray, k: int, rng: np.random.Generator, init: str
+    X, xnorms: np.ndarray, k: int, rng: np.random.Generator, init: str
 ) -> np.ndarray:
     n, d = X.shape
     if init == "random_points":
         picks = rng.choice(n, size=k, replace=False)
-        return np.asarray(X[picks].todense())
+        return _dense_rows(X, picks)
 
     # k-means++: D^2 sampling against the nearest already-chosen center.
     centroids = np.zeros((k, d))
     first = int(rng.integers(n))
-    centroids[0] = np.asarray(X[first].todense()).ravel()
+    centroids[0] = _dense_rows(X, [first])[0]
     c = centroids[0]
     d2 = np.maximum(xnorms - 2.0 * (X @ c) + c @ c, 0.0)
     for j in range(1, k):
@@ -181,19 +271,24 @@ def _init_centroids(
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=d2 / total))
-        centroids[j] = np.asarray(X[pick].todense()).ravel()
+        centroids[j] = _dense_rows(X, [pick])[0]
         c = centroids[j]
         d2 = np.minimum(d2, np.maximum(xnorms - 2.0 * (X @ c) + c @ c, 0.0))
     return centroids
 
 
 def _lloyd(
-    X: sparse.csr_matrix, xnorms: np.ndarray, centroids: np.ndarray, cfg: KMeansConfig
+    X,
+    csr: sparse.csr_matrix,
+    xnorms: np.ndarray,
+    centroids: np.ndarray,
+    cfg: KMeansConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """One Lloyd run. Returns (centroids, labels, per-point distances, per-step SSE).
 
-    Every step assigns and repairs first, so the returned labels and distances
-    always belong to the returned centroids.
+    `X` holds the rows for the product kernel, `csr` the same rows for the
+    mean update. Every step assigns and repairs first, so the returned labels
+    and distances always belong to the returned centroids.
     """
     labels = None
     shift = np.inf
@@ -209,7 +304,7 @@ def _lloyd(
         ):
             return centroids, new_labels, dists, history
         labels = new_labels
-        new_centroids = _cluster_means(X, labels, centroids.shape[0])
+        new_centroids = _cluster_means(csr, labels, centroids.shape[0])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
 
@@ -244,19 +339,23 @@ def fit(
     if cfg.n_clusters > m.n_users:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds n_users={m.n_users}")
 
-    X = m.to_csr()
+    csr = m.to_csr()
+    X, kernel = _kernel_rows(m, csr)
     xnorms = _row_sq_norms(m)
 
     def run(r: int):
         rng = np.random.default_rng(cfg.seed + r)
         centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng, cfg.init)
-        return _lloyd(X, xnorms, centroids0, cfg)
+        return _lloyd(X, csr, xnorms, centroids0, cfg)
 
     # Results arrive in restart order; each is dropped once compared, so only
     # the best run and those still in flight are held.
     best_sse, centroids, labels = 0.0, None, None
     histories = []
-    with ThreadPoolExecutor(max_workers=min(max(threads, 1), cfg.restarts)) as ex:
+    with (
+        _one_blas_thread(),
+        ThreadPoolExecutor(max_workers=min(max(threads, 1), cfg.restarts)) as ex,
+    ):
         for c, lab, dists, history in ex.map(run, range(cfg.restarts)):
             histories.append(tuple(history))
             run_sse = float(dists.sum())
@@ -273,6 +372,7 @@ def fit(
         config_fingerprint=_fingerprint(cfg, m),
         seed=cfg.seed,
         step_sse=tuple(histories) if collect_step_sse else None,
+        kernel=kernel,
     )
 
 
@@ -336,7 +436,9 @@ def load_model(path: str | Path, m: RatingMatrix) -> ClusterModel:
         raise ValueError(f"centroid block is {centroids.shape}, header says {(k, d)}")
     if m.n_items != d:
         raise ValueError("matrix item space does not match the model file")
-    labels, _ = _assign_all(m.to_csr(), _row_sq_norms(m), centroids)
+    X, kernel = _kernel_rows(m, m.to_csr())
+    with _one_blas_thread():
+        labels, _ = _assign_all(X, _row_sq_norms(m), centroids)
     centroids.flags.writeable = False
     labels = labels.astype(np.int64)
     labels.flags.writeable = False
@@ -349,4 +451,5 @@ def load_model(path: str | Path, m: RatingMatrix) -> ClusterModel:
         sse=file_sse,
         config_fingerprint=h.hexdigest()[:16],
         seed=seed,
+        kernel=kernel,
     )

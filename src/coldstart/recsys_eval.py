@@ -104,18 +104,23 @@ def average_precision(ranked_items, relevant) -> float:
 def predict_score(model: ClusterModel, m: RatingMatrix, user: int, item: int) -> float:
     """Mean rating of `item` among `user`'s cluster co-members who rated it.
 
-    Falls back to the item's global mean rating, then to the scale midpoint.
+    Falls back to the mean rating of the item among the other users, then to
+    the scale midpoint. The user's own rating never enters the score.
     """
     if not 0 <= user < m.n_users:
         raise ValueError(f"user index {user} out of range [0, {m.n_users})")
     if not 0 <= item < m.n_items:
         raise ValueError(f"item index {item} out of range [0, {m.n_items})")
-    k = len(model.centroids)
-    labels = model.assignments.copy()
-    labels[user] = k  # a cluster of one: the user's rating counts only toward the item mean
     pos = np.flatnonzero(m.indices == item)
     raters = np.searchsorted(m.indptr, pos, side="right") - 1
-    table = _score_table(np.array([0, len(pos)]), raters, m.values[pos], labels, k + 1)
+    others = raters != user  # the user's own rating counts toward neither mean
+    table = _score_table(
+        np.array([0, np.count_nonzero(others)]),
+        raters[others],
+        m.values[pos[others]],
+        model.assignments,
+        len(model.centroids),
+    )
     return float(table[0, model.assignments[user]])
 
 
@@ -300,6 +305,7 @@ def write_sweep_csv(result: SweepResult, dest: str | Path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k_coeff", "n_clusters", "ndcg_mean", "map_mean"])
         for r in result.rows:
-            w.writerow([r.k_coeff, r.n_clusters, repr(r.ndcg_mean), repr(r.map_mean)])
+            map_text = "n/a" if np.isnan(r.map_mean) else repr(r.map_mean)  # no relevant item
+            w.writerow([r.k_coeff, r.n_clusters, repr(r.ndcg_mean), map_text])
         best_map = "n/a" if result.best_by_map is None else result.best_by_map
         fh.write(f"# best_by_ndcg={result.best_by_ndcg} best_by_map={best_map}\n")

@@ -11,6 +11,7 @@ import pytest
 
 import coldstart
 from coldstart import cli
+from coldstart import kmeans as km
 from coldstart.cli import (
     EXIT_INTERNAL,
     EXIT_METHODOLOGY,
@@ -328,11 +329,52 @@ def test_sweep_without_relevant_items_reports_no_best_by_map(tmp_path, capsys):
         "--min-ratings", "11", "--seed", "0", "--out", str(out),
     ])
     assert rc == EXIT_OK
-    assert "best_by_map=n/a" in capsys.readouterr().out
-    assert (out / "sweep.csv").read_text().splitlines()[-1].endswith(" best_by_map=n/a")
+    stdout = capsys.readouterr().out
+    assert "best_by_map=n/a" in stdout
+    assert "nan" not in stdout
+    assert [line.endswith(" map=n/a") for line in stdout.splitlines()[:2]] == [True, True]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[-1].endswith(" best_by_map=n/a")
+    assert [line.split(",")[3] for line in lines[1:3]] == ["n/a", "n/a"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["sweep_best_by_map"] is None
     assert summary["sweep_best_by_ndcg"] in (2, 4)
+
+
+@pytest.mark.parametrize("rated, kernel", [(60, "dense"), (10, "csr")])
+def test_fit_summary_names_its_kernel(rated, kernel, tmp_path):
+    data = tmp_path / "jester.csv"
+    _write_jester(data, rated=rated)  # 60 or 10 of 100 items rated
+    out = tmp_path / "o"
+    rc = main(["fit", "--dataset", "jester", "--input", str(data), "--k-coeff", "10", "--out", str(out)])
+    assert rc == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["kmeans_kernel"] == kernel
+    assert summary["kmeans_fill_ratio"] == rated / 100
+    assert summary["kmeans_blas_thread_cap"] is km.blas_thread_cap_found()
+
+
+def test_model_does_not_depend_on_openblas_thread_count(tmp_path):
+    # 1,500 users x 66 rated of 100 items: the dense kernel, with products
+    # large enough for OpenBLAS to split them when it may
+    data = tmp_path / "jester.csv"
+    _write_jester(data, n_users=1500, rated=66, seed=4)
+    package_root = str(Path(coldstart.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    models = []
+    for blas_threads in (None, "1"):
+        out = tmp_path / f"o{blas_threads}"
+        run_env = env if blas_threads is None else {**env, "OPENBLAS_NUM_THREADS": blas_threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coldstart.cli", "fit", "--dataset", "jester",
+             "--input", str(data), "--k-coeff", "15", "--threads", "1", "--out", str(out)],
+            cwd=tmp_path, env=run_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads((out / "summary.json").read_text())["kmeans_kernel"] == "dense"
+        models.append((out / "model.txt").read_bytes())
+    assert models[0] == models[1]
 
 
 def test_sweep_without_coeffs_is_usage_error(jester_file, tmp_path, capsys):
@@ -535,9 +577,13 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 
 def test_module_invocation_matches_script():
+    # pytest's `pythonpath` setting reaches this process only, not its children
+    package_root = str(Path(coldstart.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     res = subprocess.run(
         [sys.executable, "-m", "coldstart.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert res.returncode == 0
     assert "threshold" in res.stdout

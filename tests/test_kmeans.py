@@ -2,11 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy import sparse
 
 from coldstart import kmeans as km
-from coldstart.dataset import IDENTITY_1_TO_5
+from coldstart.dataset import IDENTITY_1_TO_5, RatingMatrix
 
 
 # ---------------------------------------------------------------- cluster-count rule
@@ -171,31 +171,38 @@ def _best_partition_sse(X, k):
     return best
 
 
+@pytest.mark.parametrize("kernel, dense_fill", [("dense", 0.0), ("csr", np.inf)])
 @pytest.mark.parametrize("seed", range(10))
-def test_fit_matches_exhaustive_partition(mk_matrix, seed):
+def test_fit_matches_exhaustive_partition(mk_matrix, monkeypatch, seed, kernel, dense_fill):
+    monkeypatch.setattr(km, "DENSE_FILL", dense_fill)
     rng = np.random.default_rng(seed)
     n, d, k = int(rng.integers(4, 7)), 2, int(rng.integers(2, 4))
     X = rng.normal(0, 2, (n, d))
     m = mk_matrix(X)
     model = km.fit(m, km.KMeansConfig(n_clusters=k, seed=0, restarts=30))
+    assert model.kernel == kernel
     assert model.sse <= _best_partition_sse(X, k) + 1e-9
 
 
 # ---------------------------------------------------------------- batched kernels
 
-def test_assign_all_blocks_match_one_block(monkeypatch):
+@pytest.mark.parametrize("kernel, chunk", [("csr", "_CHUNK"), ("dense", "_DENSE_CHUNK")])
+def test_assign_all_blocks_match_one_block(monkeypatch, kernel, chunk):
     rng = np.random.default_rng(4)
     dense = np.where(rng.random((40, 6)) < 0.6, rng.uniform(1, 5, (40, 6)), 0.0)
     centroids = rng.uniform(1, 5, (5, 6))
     centroids[3] = centroids[1]  # every row is equally far from 1 and 3
     dense[::4] = centroids[1]  # rows sitting on the duplicated centroid
-    X = sparse.csr_matrix(dense)
+    X = sparse.csr_matrix(dense) if kernel == "csr" else dense
     xnorms = (dense**2).sum(axis=1)
     one_labels, one_dists = km._assign_all(X, xnorms, centroids)
-    monkeypatch.setattr(km, "_CHUNK", 7)
+    monkeypatch.setattr(km, chunk, 7)
     labels, dists = km._assign_all(X, xnorms, centroids)
     assert labels.tobytes() == one_labels.tobytes()
-    assert dists.tobytes() == one_dists.tobytes()
+    if kernel == "csr":
+        assert dists.tobytes() == one_dists.tobytes()
+    else:  # BLAS may split a 7-row product differently from a 40-row one
+        np.testing.assert_allclose(dists, one_dists, rtol=1e-12, atol=1e-12)
     assert 3 not in labels  # a tie goes to the lowest index
     assert (labels[::4] == 1).all()
     expect = ((dense[:, None, :] - centroids[None]) ** 2).sum(axis=2)
@@ -214,6 +221,165 @@ def test_cluster_means_matches_dense_oracle():
         expect = members.mean(axis=0) if len(members) else np.zeros(7)
         np.testing.assert_allclose(means[j], expect, rtol=1e-12, atol=0)
     assert (means[2] == 0.0).all()
+
+
+# ---------------------------------------------------------------- dense kernel vs CSR oracle
+
+def _rows_case(seed):
+    """A rating grid (dense with zeros, CSR, row norms) with duplicate rows.
+
+    Ratings are half-points, where many products are exact and ties are
+    real, or two-decimal Jester values, where the kernels round differently.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+    fill = float(rng.choice([0.05, 0.3, 0.7, 1.0]))
+    if rng.random() < 0.5:
+        values = rng.integers(-20, 21, (n, d)) / 2.0
+    else:
+        values = np.round(rng.uniform(-10, 10, (n, d)), 2)
+    dense = np.where(rng.random((n, d)) < fill, values, 0.0)
+    dense[rng.integers(0, n, n // 4)] = dense[rng.integers(0, n)]
+    X = sparse.csr_matrix(dense)
+    X.sort_indices()
+    return rng, dense, X, km._row_sq_norms(_matrix_of(X))
+
+
+def _matrix_of(X):
+    n, d = X.shape
+    return RatingMatrix(
+        n_users=n, n_items=d, indptr=X.indptr.astype(np.int64),
+        indices=X.indices.astype(np.int32), values=X.data.astype(np.float64),
+        user_ids=np.arange(n), item_ids=np.arange(d), scheme=IDENTITY_1_TO_5,
+    )
+
+
+def _near_ties(X, xnorms, centroids):
+    """Rows whose two nearest centroids, by the CSR kernel's distances, are within 1e-9 relative.
+
+    Relative to the squared norms that the distance expansion cancels: a
+    row on a centroid has a distance near 0 but a rounding error of the
+    norms' size.
+    """
+    cnorms = np.einsum("ij,ij->i", centroids, centroids)
+    d = xnorms[:, None] - 2.0 * (X @ centroids.T) + cnorms
+    if d.shape[1] < 2:
+        return np.zeros(d.shape[0], dtype=bool)
+    two = np.argpartition(d, 1, axis=1)[:, :2]
+    first, second = np.take_along_axis(d, two, axis=1).T
+    scale = xnorms + cnorms[two].max(axis=1)
+    return np.abs(second - first) <= 1e-9 * scale
+
+
+def _sse_tolerance(xnorms, centroids, labels):
+    """1e-12 of the SSE, or of the norms the distances cancel when the SSE is near 0."""
+    cnorms = np.einsum("ij,ij->i", centroids, centroids)
+    return 1e-12 * (xnorms.sum() + cnorms[labels].sum())
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_dense_assign_matches_csr_oracle(seed):
+    rng, dense, X, xnorms = _rows_case(seed)
+    k = int(rng.integers(1, 30))
+    centroids = np.concatenate([
+        rng.integers(-20, 21, (k, dense.shape[1])) / 2.0,  # grid points: exact ties
+        dense[rng.integers(0, len(dense), 3)],  # centroids on rows
+    ])
+    centroids[rng.integers(0, len(centroids))] = centroids[0]  # a duplicate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_DENSE_CHUNK", int(rng.choice([7, 64, km._DENSE_CHUNK])))
+        labels, dists = km._assign_all(dense, xnorms, centroids)
+    want_labels, want_dists = km._assign_all(X, xnorms, centroids)
+    differ = labels != want_labels
+    assert not (differ & ~_near_ties(X, xnorms, centroids)).any()
+    event(f"near-tie label differences: {int(differ.sum())}")
+    assert dists.sum() == pytest.approx(
+        want_dists.sum(), rel=1e-12, abs=_sse_tolerance(xnorms, centroids, want_labels)
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["kmeanspp", "random_points"]))
+@settings(max_examples=60, deadline=None)
+def test_dense_fit_matches_csr_oracle(seed, init):
+    rng, dense, X, xnorms = _rows_case(seed)
+    m = _matrix_of(X)
+    cfg = km.KMeansConfig(
+        n_clusters=int(rng.integers(1, min(m.n_users, 12) + 1)),
+        restarts=2, max_steps=int(rng.integers(1, 12)), seed=seed % 1000, init=init,
+    )
+    real = km._assign_all
+    differing = []
+
+    def checked(rows, norms, centroids):
+        # Every dense assignment is held to the CSR kernel at the same centroids.
+        labels, dists = real(rows, norms, centroids)
+        want, _ = real(X, norms, centroids)
+        differ = labels != want
+        assert not (differ & ~_near_ties(X, norms, centroids)).any()
+        differing.append(int(differ.sum()))
+        return labels, dists
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "DENSE_FILL", np.inf)
+        want = km.fit(m, cfg, collect_step_sse=True)
+        mp.setattr(km, "DENSE_FILL", 0.0)
+        mp.setattr(km, "_assign_all", checked)
+        got = km.fit(m, cfg, collect_step_sse=True)
+    assert (want.kernel, got.kernel) == ("csr", "dense")
+    event(f"near-tie label differences in a fit: {sum(differing)}")
+    if sum(differing):
+        return  # a near tie went the other way; the runs may part from there
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    tol = _sse_tolerance(xnorms, want.centroids, want.assignments)
+    assert got.sse == pytest.approx(want.sse, rel=1e-12, abs=tol)
+    assert len(got.step_sse) == len(want.step_sse)
+    for a, b in zip(got.step_sse, want.step_sse):
+        assert a == pytest.approx(b, rel=1e-12, abs=tol)
+
+
+def _threads_case():
+    """3,000 x 60, about 66 % rated: dense, and large enough for OpenBLAS to start threads."""
+    rng = np.random.default_rng(21)
+    dense = np.where(rng.random((3000, 60)) < 0.66, np.round(rng.uniform(-10, 10, (3000, 60)), 2), 0.0)
+    return _matrix_of(sparse.csr_matrix(dense))
+
+
+def test_dense_fit_threads_do_not_change_result():
+    m = _threads_case()
+    cfg = km.KMeansConfig(n_clusters=40, restarts=4, max_steps=8, seed=2)
+    a = km.fit(m, cfg, threads=1, collect_step_sse=True)
+    assert a.kernel == "dense"
+    for threads in (2, 8):
+        b = km.fit(m, cfg, threads=threads, collect_step_sse=True)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert np.array_equal(a.assignments, b.assignments)
+        assert a.sse == b.sse
+        assert a.step_sse == b.step_sse
+
+
+@pytest.mark.skipif(not km.blas_thread_cap_found(), reason="OpenBLAS thread count not settable")
+def test_fit_holds_blas_to_one_thread_and_restores_it(monkeypatch):
+    set_threads = km._openblas_set_threads()
+    seen = []
+    real = km._lloyd
+
+    def lloyd(*args):
+        count = set_threads(1)  # returns the count in force
+        set_threads(count)
+        seen.append(count)
+        return real(*args)
+
+    monkeypatch.setattr(km, "_lloyd", lloyd)
+    before = set_threads(2)
+    try:
+        for threads in (1, 2):
+            km.fit(_threads_case(), km.KMeansConfig(n_clusters=5, restarts=3, max_steps=2), threads=threads)
+            assert set_threads(2) == 2
+    finally:
+        set_threads(before)
+    assert seen == [1] * 6
 
 
 # ---------------------------------------------------------------- assignment

@@ -113,8 +113,9 @@ def test_predict_score_fallback_chain(mk_matrix):
     model = _model([[0.0, 0.0], [0.0, 0.0]], [0, 0, 1])
     # co-member 1 rated item 0
     assert rv.predict_score(model, m, 0, 0) == pytest.approx(4.0)
-    # no co-member of user 2 rated item 0 -> global mean (4 + 2) / 2
-    assert rv.predict_score(model, m, 2, 0) == pytest.approx(3.0)
+    # no co-member of user 2 rated item 0 -> mean of the other users' ratings,
+    # 4.0 from user 1; user 2's own 2.0 stays out
+    assert rv.predict_score(model, m, 2, 0) == pytest.approx(4.0)
     # item 1 for user 2: global mean of ratings present = 2.0
     assert rv.predict_score(model, m, 2, 1) == pytest.approx(2.0)
     # nobody rated anything like item 1 among co-members; user 1 gets global
@@ -132,6 +133,9 @@ def test_predict_score_excludes_the_user(mk_matrix):
     model = _model([[0.0]], [0, 0])
     # user 0's own 5.0 must not leak into their prediction
     assert rv.predict_score(model, m, 0, 0) == pytest.approx(1.0)
+    # nor into the fallback: as the item's only rater, user 0 gets the midpoint
+    alone = _model([[0.0], [0.0]], [0, 1])
+    assert rv.predict_score(alone, mk_matrix([[5.0], [np.nan]]), 0, 0) == rv.FALLBACK_SCORE
 
 
 # ---------------------------------------------------------------- the sweep
