@@ -113,7 +113,7 @@ def predict_score(model: ClusterModel, m: RatingMatrix, user: int, item: int) ->
         raise ValueError(f"item index {item} out of range [0, {m.n_items})")
     pos = np.flatnonzero(m.indices == item)
     raters = np.searchsorted(m.indptr, pos, side="right") - 1
-    others = raters != user  # the user's own rating counts toward neither mean
+    others = raters != user
     table = _score_table(
         np.array([0, np.count_nonzero(others)]),
         raters[others],
