@@ -301,6 +301,7 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
         "kmeans_kernel": model.kernel,
         "kmeans_fill_ratio": km.fill_ratio(m),
         "kmeans_blas_thread_cap": km.blas_thread_cap_found(),
+        "kmeans_restarts": [r._asdict() for r in model.restarts],
     }
 
 
@@ -366,10 +367,13 @@ def _threshold(cfg: RunConfig, out: Path) -> dict:
     report = xp.detect_breakpoint(success, method=cfg.breakpoint_method)
     xp.write_breakpoint_report(report, out / "threshold.txt")
     inter = xp.regression_intersection(quality_c)
+    where = ""
+    if inter.extrapolated:
+        edge = quality_c.points[0 if inter.position == "before" else -1].t
+        where = f" (extrapolated, {inter.position} t={edge})"
     print(
         f"threshold: t_star={report.t_star} ({report.method}), "
-        f"quality curves cross at t={inter.t_cross:.3f}"
-        f"{' (extrapolated)' if inter.extrapolated else ''}"
+        f"quality curves cross at t={inter.t_cross:.3f}{where}"
     )
     return {
         "breakpoint_t_star": report.t_star,
@@ -379,6 +383,7 @@ def _threshold(cfg: RunConfig, out: Path) -> dict:
         "intersection_log_fit_a": inter.log_fit[0],
         "intersection_log_fit_b": inter.log_fit[1],
         "intersection_extrapolated": inter.extrapolated,
+        "intersection_position": inter.position,
     }
 
 

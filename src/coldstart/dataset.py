@@ -20,12 +20,14 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmptyResultError, ParseError, RatingRangeError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 JESTER_SENTINEL = 99.0
 _SENTINEL_TOL = 1e-9
@@ -203,6 +205,9 @@ class RatingMatrix:
         return np.diff(self.indptr)
 
     def to_csr(self) -> sparse.csr_matrix:
+        # Imported here so that commands that build no CSR matrix never load scipy.
+        from scipy import sparse
+
         return sparse.csr_matrix(
             (self.values, self.indices, self.indptr), shape=(self.n_users, self.n_items)
         )

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix, _gather_rows
 from .errors import DegenerateModelError, NoIntersectionError
@@ -82,10 +81,21 @@ class BreakpointReport:
 
 @dataclass(frozen=True)
 class IntersectionReport:
+    """Where the fitted quality curve meets the reference.
+
+    `position` places `t_cross` against the observed prefix lengths:
+    "before" the first (the fit is already above the reference there),
+    "within" them, or "beyond" the last.
+    """
+
     log_fit: tuple[float, float]  # (a, b) of y = a + b*ln t
     reference_level: float
     t_cross: float
-    extrapolated: bool
+    position: str
+
+    @property
+    def extrapolated(self) -> bool:
+        return self.position != "within"
 
 
 def _prefix_ranks(m: RatingMatrix, ordering: PrefixOrdering) -> np.ndarray:
@@ -120,6 +130,8 @@ def _assign_rows(
     counts: np.ndarray,
 ) -> np.ndarray:
     """Labels of the CSR rows holding ``counts`` consecutive (idx, vals) entries each."""
+    from scipy import sparse
+
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     X = sparse.csr_matrix((vals, idx, indptr), shape=(len(counts), model.n_items))
     sq = np.concatenate([[0.0], np.cumsum(X.data**2)])
@@ -363,7 +375,9 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
     """Where the log-fit of the current series reaches the reference level.
 
     Fits y = a + b*ln t to the current series; a non-positive b means the
-    series is not converging upward and there is no crossing to report.
+    series is not converging upward and there is no crossing to report. A
+    fit already above the reference at the first observed t crosses "before"
+    it.
     """
     if len(curve.points) < 3:
         raise ValueError("need at least 3 points to fit the regression")
@@ -379,11 +393,17 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
     t_cross = float(np.exp(np.clip(exponent, -745.0, 709.0)))
     if exponent > 709.0:
         t_cross = float("inf")
+    if t_cross < t[0]:
+        position = "before"
+    elif t_cross > t[-1]:
+        position = "beyond"
+    else:
+        position = "within"
     return IntersectionReport(
         log_fit=(float(a), float(b)),
         reference_level=ref,
         t_cross=t_cross,
-        extrapolated=not (t[0] <= t_cross <= t[-1]),
+        position=position,
     )
 
 

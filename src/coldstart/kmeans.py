@@ -24,11 +24,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .dataset import RatingMatrix
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Fill ratio (ratings / cells) from which rows are multiplied as a dense
 # array. Measured with one BLAS thread on random grids (2-vCPU Xeon, OpenBLAS
@@ -71,14 +74,29 @@ class KMeansConfig:
             raise ValueError(f"unknown init {self.init!r}")
 
 
+class RestartRecord(NamedTuple):
+    """How one restart's Lloyd run ended.
+
+    `steps` counts mean updates; `stop` is "labels_stable" (an assignment
+    repeated the previous one), "shift_below_tol" (no centroid moved by
+    `conv_tol` or more) or "max_steps"; `sse` is the run's final SSE.
+    """
+
+    steps: int
+    stop: str
+    sse: float
+
+
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
     """Fitted model: dense centroids, per-user assignments and the total SSE.
 
     `step_sse` is populated only when the fit was asked to collect it: one
     tuple of per-step SSE values per executed restart, in restart order.
-    `kernel` names the product kernel that assigned the rows ("dense" or
-    "csr"); it is None for a model built by hand.
+    `restarts` holds one `RestartRecord` per restart, in restart order; it
+    is None for a loaded model. `kernel` names the product kernel that
+    assigned the rows ("dense" or "csr"). Both are None for a model built
+    by hand.
     """
 
     centroids: np.ndarray
@@ -87,6 +105,7 @@ class ClusterModel:
     config_fingerprint: str
     seed: int = 0
     step_sse: tuple[tuple[float, ...], ...] | None = None
+    restarts: tuple[RestartRecord, ...] | None = None
     kernel: str | None = None
 
     @property
@@ -283,12 +302,12 @@ def _lloyd(
     xnorms: np.ndarray,
     centroids: np.ndarray,
     cfg: KMeansConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """One Lloyd run. Returns (centroids, labels, per-point distances, per-step SSE).
+) -> tuple[np.ndarray, np.ndarray, list[float], RestartRecord]:
+    """One Lloyd run. Returns (centroids, labels, per-step SSE, how it ended).
 
     `X` holds the rows for the product kernel, `csr` the same rows for the
     mean update. Every step assigns and repairs first, so the returned labels
-    and distances always belong to the returned centroids.
+    belong to the returned centroids and the last SSE is theirs.
     """
     labels = None
     shift = np.inf
@@ -297,12 +316,16 @@ def _lloyd(
         new_labels, dists = _assign_all(X, xnorms, centroids)
         _repair_empty(X, new_labels, dists, centroids)
         history.append(float(dists.sum()))
-        if (
-            step == cfg.max_steps
-            or shift < cfg.conv_tol
-            or (labels is not None and np.array_equal(new_labels, labels))
-        ):
-            return centroids, new_labels, dists, history
+        if labels is not None and np.array_equal(new_labels, labels):
+            stop = "labels_stable"
+        elif shift < cfg.conv_tol:
+            stop = "shift_below_tol"
+        elif step == cfg.max_steps:
+            stop = "max_steps"
+        else:
+            stop = None
+        if stop is not None:
+            return centroids, new_labels, history, RestartRecord(step, stop, history[-1])
         labels = new_labels
         new_centroids = _cluster_means(csr, labels, centroids.shape[0])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
@@ -351,16 +374,16 @@ def fit(
     # Results arrive in restart order; each is dropped once compared, so only
     # the best run and those still in flight are held.
     best_sse, centroids, labels = 0.0, None, None
-    histories = []
+    histories, records = [], []
     with (
         _one_blas_thread(),
         ThreadPoolExecutor(max_workers=min(max(threads, 1), cfg.restarts)) as ex,
     ):
-        for c, lab, dists, history in ex.map(run, range(cfg.restarts)):
+        for c, lab, history, record in ex.map(run, range(cfg.restarts)):
             histories.append(tuple(history))
-            run_sse = float(dists.sum())
-            if centroids is None or run_sse < best_sse:  # ties: the earlier restart
-                best_sse, centroids, labels = run_sse, c, lab
+            records.append(record)
+            if centroids is None or record.sse < best_sse:  # ties: the earlier restart
+                best_sse, centroids, labels = record.sse, c, lab
     centroids = centroids.copy()
     centroids.flags.writeable = False
     labels = labels.astype(np.int64)
@@ -372,6 +395,7 @@ def fit(
         config_fingerprint=_fingerprint(cfg, m),
         seed=cfg.seed,
         step_sse=tuple(histories) if collect_step_sse else None,
+        restarts=tuple(records),
         kernel=kernel,
     )
 

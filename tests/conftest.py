@@ -1,9 +1,27 @@
-"""Shared fixtures: hand-assembled rating matrices for unit tests."""
+"""Shared fixtures: hand-assembled rating matrices for unit tests, and child-process settings."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coldstart
 from coldstart.dataset import IDENTITY_1_TO_5, RatingMatrix
+
+
+def child_env(drop=(), **extra):
+    """Environment for a child Python process that can import this ``coldstart``.
+
+    pytest's ``pythonpath`` setting reaches the test process only, so the
+    package's directory goes first in the child's PYTHONPATH. Variables
+    named in ``drop`` are removed; keyword arguments are set.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    package_root = str(Path(coldstart.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    env.update(extra)
+    return env
 
 
 def matrix_from_dense(dense, timestamps=None, scheme=IDENTITY_1_TO_5):

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -9,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import coldstart
 from coldstart import cli
+from coldstart import experiment as xp
 from coldstart import kmeans as km
 from coldstart.cli import (
     EXIT_INTERNAL,
@@ -21,6 +20,7 @@ from coldstart.cli import (
     main,
     parse_config_file,
 )
+from conftest import child_env
 
 
 # ---------------------------------------------------------------- smoke inputs
@@ -354,14 +354,29 @@ def test_fit_summary_names_its_kernel(rated, kernel, tmp_path):
     assert summary["kmeans_blas_thread_cap"] is km.blas_thread_cap_found()
 
 
+def test_fit_summary_records_each_restart(jester_file, tmp_path):
+    out = tmp_path / "o"
+    rc = main([
+        "fit", "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
+        "--seed", "3", "--threads", "2", "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    records = summary["kmeans_restarts"]
+    assert len(records) == 10  # the default kmeans_restarts, in restart order
+    for r in records:
+        assert set(r) == {"steps", "stop", "sse"}
+        assert r["stop"] in ("labels_stable", "shift_below_tol", "max_steps")
+        assert 0 <= r["steps"] <= 100
+    assert min(r["sse"] for r in records) == summary["sse"]
+
+
 def test_model_does_not_depend_on_openblas_thread_count(tmp_path):
     # 1,500 users x 66 rated of 100 items: the dense kernel, with products
     # large enough for OpenBLAS to split them when it may
     data = tmp_path / "jester.csv"
     _write_jester(data, n_users=1500, rated=66, seed=4)
-    package_root = str(Path(coldstart.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    env = child_env(drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     models = []
     for blas_threads in (None, "1"):
         out = tmp_path / f"o{blas_threads}"
@@ -384,6 +399,47 @@ def test_sweep_without_coeffs_is_usage_error(jester_file, tmp_path, capsys):
     ])
     assert rc == EXIT_USAGE
     assert "coeffs" in capsys.readouterr().err
+
+
+def _write_curves(out, quality_offset):
+    """A success curve with a knee at t = 10, and a rising log quality curve over t = 1..20.
+
+    The quality curve is -2 + 0.5 ln t against a reference of -2 - quality_offset:
+    it starts above its reference when the offset is positive.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    ts = np.arange(1, 21)
+    success = np.minimum(ts, 10) / 10.0
+    xp.write_success_csv(
+        xp.SuccessCurve(tuple(xp.SuccessPoint(int(t), float(y), 50) for t, y in zip(ts, success))),
+        out / "success.csv",
+    )
+    ref = -2.0 - quality_offset
+    xp.write_quality_csv(
+        xp.QualityCurve(tuple(xp.QualityPoint(int(t), float(-2.0 + 0.5 * np.log(t)), ref) for t in ts)),
+        out / "quality.csv",
+    )
+
+
+@pytest.mark.parametrize(
+    "offset, position, note",
+    [
+        (0.5, "before", " (extrapolated, before t=1)"),  # fit crosses at t = e^-1
+        (-1.0, "within", ""),  # t = e^2
+        (-2.0, "beyond", " (extrapolated, beyond t=20)"),  # t = e^4
+    ],
+)
+def test_threshold_names_where_the_crossing_lies(offset, position, note, tmp_path, capsys):
+    out = tmp_path / "o"
+    _write_curves(out, offset)
+    rc = main(["threshold", "--dataset", "jester", "--out", str(out)])
+    assert rc == EXIT_OK
+    t_cross = np.exp(-2.0 * offset)
+    assert f"cross at t={t_cross:.3f}{note}\n" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["intersection_position"] == position
+    assert summary["intersection_extrapolated"] is (position != "within")
+    assert summary["intersection_t_cross"] == pytest.approx(t_cross, rel=1e-9)
 
 
 def test_threshold_without_curves_or_input_is_usage_error(tmp_path, capsys):
@@ -543,11 +599,7 @@ def _console_script_commands():
 
 
 def test_console_script_help_and_exit_codes(tmp_path):
-    package_root = str(Path(coldstart.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
+    env = child_env()
     for script in _console_script_commands():
         res = subprocess.run(
             [*script, "--help"], capture_output=True, text=True, timeout=60,
@@ -566,24 +618,57 @@ def test_console_script_help_and_exit_codes(tmp_path):
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # Only Davies-Bouldin needs cdist, so ingest and threshold never pay for its import.
-    package_root = str(Path(coldstart.__file__).resolve().parents[1])
     res = subprocess.run(
         [sys.executable, "-c", "import sys, coldstart.cli; print('scipy.spatial' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True, text=True, timeout=60, env=child_env(),
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
 
 
+def _loaded_scipy_modules(tmp_path, *argvs):
+    """Run each argv through ``cli.main`` in one child process; its exit codes and scipy modules."""
+    script = (
+        "import json, sys\n"
+        "from coldstart import cli\n"
+        f"codes = [cli.main(a) for a in {[list(a) for a in argvs]!r}]\n"
+        "mods = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps([codes, mods]))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_ingest_and_threshold_load_no_scipy(jester_file, tmp_path):
+    out = tmp_path / "o"
+    _write_curves(out, -1.0)
+    flags = ["--dataset", "jester", "--out", str(out)]
+    codes, mods = _loaded_scipy_modules(
+        tmp_path, ["ingest", "--input", str(jester_file), *flags], ["threshold", *flags]
+    )
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert (out / "canonical.csv").exists() and (out / "threshold.txt").exists()
+    assert mods == []
+
+
+def test_default_pipeline_loads_no_scipy_spatial_or_optimize(jester_file, tmp_path):
+    codes, mods = _loaded_scipy_modules(tmp_path, [
+        "pipeline", "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
+        "--min-ratings", "50", "--sample", "20", "--t-max", "80", "--out", str(tmp_path / "o"),
+    ])
+    assert codes == [EXIT_OK]
+    assert "scipy.sparse" in mods  # fit and curves build CSR matrices
+    assert not [m for m in mods if m.startswith(("scipy.spatial", "scipy.optimize"))]
+
+
 def test_module_invocation_matches_script():
-    # pytest's `pythonpath` setting reaches this process only, not its children
-    package_root = str(Path(coldstart.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     res = subprocess.run(
         [sys.executable, "-m", "coldstart.cli", "--help"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=child_env(),
     )
     assert res.returncode == 0
     assert "threshold" in res.stdout

@@ -108,6 +108,37 @@ def test_fit_threads_do_not_change_result(mk_matrix):
         assert np.array_equal(a.assignments, b.assignments)
         assert a.sse == b.sse
         assert a.step_sse == b.step_sse
+        assert a.restarts == b.restarts
+
+
+def test_restart_records_explain_each_stop(mk_matrix):
+    rng = np.random.default_rng(8)
+    m = mk_matrix(rng.uniform(1, 5, (80, 6)))
+    cases = [
+        (km.KMeansConfig(n_clusters=8, seed=4, restarts=6), {"labels_stable"}),
+        # any shift is below this tolerance, so each run stops after one update
+        # unless the labels already repeat
+        (km.KMeansConfig(n_clusters=8, seed=4, restarts=6, conv_tol=1e9), {"shift_below_tol"}),
+        (km.KMeansConfig(n_clusters=8, seed=4, restarts=6, max_steps=1), {"max_steps"}),
+    ]
+    for cfg, expected in cases:
+        model = km.fit(m, cfg, collect_step_sse=True)
+        assert len(model.restarts) == cfg.restarts
+        assert {r.stop for r in model.restarts} == expected
+        for r, history in zip(model.restarts, model.step_sse):
+            assert r.steps == len(history) - 1  # one SSE per assignment, one more than updates
+            assert r.sse == history[-1]
+            assert r.steps <= cfg.max_steps
+        assert model.sse == min(r.sse for r in model.restarts)
+
+
+def test_restart_records_do_not_depend_on_threads():
+    m = _threads_case()
+    cfg = km.KMeansConfig(n_clusters=30, restarts=8, max_steps=12, seed=5)
+    a = km.fit(m, cfg, threads=1)
+    b = km.fit(m, cfg, threads=8)
+    assert len(a.restarts) == 8
+    assert a.restarts == b.restarts
 
 
 def test_fit_sse_tie_goes_to_earlier_restart(mk_matrix):
@@ -357,6 +388,7 @@ def test_dense_fit_threads_do_not_change_result():
         assert np.array_equal(a.assignments, b.assignments)
         assert a.sse == b.sse
         assert a.step_sse == b.step_sse
+        assert a.restarts == b.restarts
 
 
 @pytest.mark.skipif(not km.blas_thread_cap_found(), reason="OpenBLAS thread count not settable")

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
+import quality_oracle as oracle
+from conftest import matrix_from_dense
 from coldstart import quality as q
 from coldstart.errors import DegenerateModelError
 from coldstart.kmeans import ClusterModel
@@ -143,3 +148,62 @@ def test_coincident_pair_skipped_when_another_separates(mk_matrix):
     # terms of 0 and 1 must come from the pairing with cluster 2
     s = res.per_cluster_scatter
     assert res.per_cluster_db_term[0] == pytest.approx((s[0] + s[2]) / 10.0)
+
+
+# ---------------------------------------------------------------- separation vs cdist
+
+# Rows of a centroid block: small and huge magnitudes, exact zeros, and
+# rows repeated so that some centroids coincide.
+_coord = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e6, -1e6, 1e6 - 0.5, -1e6 + 0.25]),
+)
+
+
+@st.composite
+def _centroid_blocks(draw):
+    k = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 12))
+    distinct = draw(st.integers(1, k))
+    rows = draw(hnp.arrays(np.float64, (distinct, d), elements=_coord))
+    pick = draw(hnp.arrays(np.int64, k, elements=st.integers(0, distinct - 1)))
+    return rows[pick]
+
+
+@given(_centroid_blocks())
+@settings(max_examples=200, deadline=None)
+def test_separation_equals_cdist_bit_for_bit(cu):
+    assert np.array_equal(q._separation(cu), cdist(cu, cu))
+
+
+@pytest.mark.parametrize("k, d", [(2, 1), (2, 5), (3, 1), (129, 3), (300, 40)])
+def test_separation_equals_cdist_at_block_edges(k, d):
+    # k = 129 and 300 span more than one _SEP_BLOCK of rows
+    cu = np.random.default_rng(k * d).normal(0, 1e6, (k, d))
+    cu[k // 2] = cu[0]
+    assert np.array_equal(q._separation(cu), cdist(cu, cu))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_davies_bouldin_terms_equal_cdist_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    d = int(rng.integers(1, 40))  # numpy sums 8 or more terms in another order than cdist
+    k = int(rng.integers(2, 8))
+    dense = rng.normal(0, 1e6 if rng.random() < 0.2 else 2.0, (n, d))
+    dense[rng.random((n, d)) < 0.3] = np.nan
+    labels = rng.integers(0, k, n)
+    while len(np.unique(labels)) < 2:
+        labels = rng.integers(0, k, n)
+    centroids = rng.normal(0, 2, (k, d))
+    centroids[-1] = centroids[0]  # a coincident pair, skipped when others separate
+    m = matrix_from_dense(dense)
+    model = _model(centroids, labels)
+    want = oracle.db_terms(model, m)
+    if not np.isfinite(want[~np.isnan(want)]).all():
+        with pytest.raises(DegenerateModelError):
+            q.davies_bouldin(model, m)
+        return
+    got = q.davies_bouldin(model, m).per_cluster_db_term
+    assert np.array_equal(got, want, equal_nan=True)
