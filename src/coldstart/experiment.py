@@ -85,7 +85,8 @@ class IntersectionReport:
 
     `position` places `t_cross` against the observed prefix lengths:
     "before" the first (the fit is already above the reference there),
-    "within" them, or "beyond" the last.
+    "within" them, or "beyond" the last. A crossing that cannot be placed
+    (NaN, from a NaN in the curve) counts as "beyond".
     """
 
     log_fit: tuple[float, float]  # (a, b) of y = a + b*ln t
@@ -393,12 +394,12 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
     t_cross = float(np.exp(np.clip(exponent, -745.0, 709.0)))
     if exponent > 709.0:
         t_cross = float("inf")
-    if t_cross < t[0]:
-        position = "before"
-    elif t_cross > t[-1]:
-        position = "beyond"
-    else:
+    if t[0] <= t_cross <= t[-1]:
         position = "within"
+    elif t_cross < t[0]:
+        position = "before"
+    else:
+        position = "beyond"
     return IntersectionReport(
         log_fit=(float(a), float(b)),
         reference_level=ref,

@@ -442,6 +442,17 @@ def test_threshold_names_where_the_crossing_lies(offset, position, note, tmp_pat
     assert summary["intersection_t_cross"] == pytest.approx(t_cross, rel=1e-9)
 
 
+def test_threshold_reports_a_nan_crossing_as_extrapolated(tmp_path, capsys):
+    out = tmp_path / "o"
+    _write_curves(out, float("nan"))  # a NaN reference level
+    rc = main(["threshold", "--dataset", "jester", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert "cross at t=nan (extrapolated, beyond t=20)\n" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["intersection_position"] == "beyond"
+    assert summary["intersection_extrapolated"] is True
+
+
 def test_threshold_without_curves_or_input_is_usage_error(tmp_path, capsys):
     rc = main(["threshold", "--dataset", "jester", "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE

@@ -233,6 +233,14 @@ def test_regression_intersection_inside_range_not_extrapolated():
     assert rep.t_cross == pytest.approx(49.97, abs=0.01)
 
 
+def test_regression_intersection_with_nan_reference_is_extrapolated():
+    t = np.arange(1, 41)
+    rep = xp.regression_intersection(_quality(t, -7.5 + np.log(t), float("nan")))
+    assert np.isnan(rep.t_cross)
+    assert rep.position == "beyond"
+    assert rep.extrapolated
+
+
 def test_regression_intersection_rejects_downward_trend():
     t = np.arange(1, 31)
     cur = -1.0 - 0.5 * np.log(t)
