@@ -339,23 +339,30 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     model = km.load_model(out / "model.txt", m)
     users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()
-
-    success = xp.success_curve(model, m, users, cfg.t_max, ordering)
-    xp.write_success_csv(success, out / "success.csv")
-    quality_c = xp.quality_curve(model, m, users, cfg.t_max, ordering)
-    xp.write_quality_csv(quality_c, out / "quality.csv")
-
-    fragment = {"curve_users": len(users)}
+    min_cohort = users[:0]
     if cfg.dataset == "movielens":
         min_count, min_cohort, _ = xp.split_by_min_count(m)
-        if len(min_cohort):
-            cohort_curve = xp.success_curve(model, m, min_cohort, cfg.t_max, ordering)
-            xp.write_success_csv(cohort_curve, out / "success_mincohort.csv")
-            fragment["min_cohort_count"] = int(len(min_cohort))
-            fragment["min_cohort_ratings"] = min_count
+    # One replay feeds every curve: the sample's rows, then the min cohort's.
+    replay = xp.prefix_replay(model, m, np.concatenate([users, min_cohort]), cfg.t_max, ordering)
+    n = len(users)
+    sample = replay.take(slice(0, n))
+
+    success = xp.success_curve(model, m, users, cfg.t_max, ordering, replay=sample)
+    xp.write_success_csv(success, out / "success.csv")
+    quality_c = xp.quality_curve(model, m, users, cfg.t_max, ordering, replay=sample)
+    xp.write_quality_csv(quality_c, out / "quality.csv")
+
+    fragment = {"curve_users": n}
+    if len(min_cohort):
+        cohort_curve = xp.success_curve(
+            model, m, min_cohort, cfg.t_max, ordering, replay=replay.take(slice(n, None))
+        )
+        xp.write_success_csv(cohort_curve, out / "success_mincohort.csv")
+        fragment["min_cohort_count"] = int(len(min_cohort))
+        fragment["min_cohort_ratings"] = min_count
     print(
         f"curves: success over {len(success.points)} prefix lengths, "
-        f"{len(users)} users evaluated"
+        f"{n} users evaluated"
     )
     return fragment
 

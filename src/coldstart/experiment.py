@@ -2,10 +2,12 @@
 
 The cluster model is fit once on full histories and frozen; each user's rating
 prefix of length t is assigned against those fixed centroids and compared with
-the assignment of the full row. The per-t evaluation is batched: one sparse
-matrix of all selected users' prefixes per t, so curve generation stays fast
-at dataset scale. It runs on one thread, so the curves never depend on the
-run's thread count.
+the assignment of the full row. ``prefix_replay`` labels every prefix of every
+selected user in one walk over their ratings, keeping running dots with the
+centroids and running norms, so the cost is one pass over the ratings plus one
+users x k argmin per t. One replay can feed the success curve, the quality
+curve and the min-cohort curve. It runs on one thread, so the curves never
+depend on the run's thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix, _gather_rows
 from .errors import DegenerateModelError, NoIntersectionError
-from .kmeans import ClusterModel, _assign_all
+from .kmeans import ClusterModel
 from .quality import davies_bouldin
 
 SEGMENTED_LINEAR = "segmented_linear"
@@ -99,20 +101,6 @@ class IntersectionReport:
         return self.position != "within"
 
 
-def _prefix_ranks(m: RatingMatrix, ordering: PrefixOrdering) -> np.ndarray:
-    """Within-row rank of every stored rating under the prefix ordering."""
-    starts = np.repeat(m.indptr[:-1], np.diff(m.indptr))
-    if ordering.kind == "by_item_index":
-        return np.arange(m.n_ratings, dtype=np.int64) - starts
-    if m.timestamps is None:
-        raise ValueError("by_timestamp ordering needs a matrix with timestamps")
-    owner = np.repeat(np.arange(m.n_users), np.diff(m.indptr))
-    order = np.lexsort((m.indices, m.timestamps, owner))
-    ranks = np.empty(m.n_ratings, dtype=np.int64)
-    ranks[order] = np.arange(m.n_ratings, dtype=np.int64) - starts
-    return ranks
-
-
 def _validate_users(model: ClusterModel, m: RatingMatrix, users) -> np.ndarray:
     users = np.asarray(users, dtype=np.int64)
     if users.size == 0:
@@ -124,48 +112,110 @@ def _validate_users(model: ClusterModel, m: RatingMatrix, users) -> np.ndarray:
     return users
 
 
-def _assign_rows(
-    model: ClusterModel,
-    idx: np.ndarray,
-    vals: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Labels of the CSR rows holding ``counts`` consecutive (idx, vals) entries each."""
-    from scipy import sparse
+@dataclass(frozen=True, eq=False)
+class PrefixReplay:
+    """Labels of every user's rating prefixes against a frozen model.
 
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    X = sparse.csr_matrix((vals, idx, indptr), shape=(len(counts), model.n_items))
-    sq = np.concatenate([[0.0], np.cumsum(X.data**2)])
-    xnorms = sq[indptr[1:]] - sq[indptr[:-1]]
-    labels, _ = _assign_all(X, xnorms, model.centroids)
-    return labels
+    Row j belongs to ``users[j]`` (duplicates and order as given).
+    ``labels[t - 1, j]`` is the label of that user's first min(t, history)
+    ratings for t = 1..t_max, and ``final[j]`` the label of the whole
+    history, read from the same running sums, so a saturated prefix carries
+    exactly the final label.
+    """
+
+    users: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+    final: np.ndarray
+    ordering: PrefixOrdering
+
+    @property
+    def t_max(self) -> int:
+        return int(self.labels.shape[0])
+
+    def take(self, rows: slice) -> PrefixReplay:
+        """The replay of a contiguous block of its users."""
+        return PrefixReplay(
+            self.users[rows], self.lengths[rows], self.labels[:, rows], self.final[rows], self.ordering
+        )
 
 
-def _prefix_labels(
+def _nearest(dots: np.ndarray, norms: np.ndarray, cnorms: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, in ``_assign_all``'s operation order; ties to the lowest index."""
+    d = dots * -2.0
+    d += norms[:, None]
+    d += cnorms
+    return np.argmin(d, axis=1)
+
+
+def prefix_replay(
     model: ClusterModel,
     m: RatingMatrix,
-    users: np.ndarray,
+    users,
     t_max: int,
-    ordering: PrefixOrdering,
-):
-    """Yield (t, labels of every user's min(t, history)-length prefix) for t = 1..t_max."""
-    rank = _prefix_ranks(m, ordering)
-    pos, _ = _gather_rows(m.indptr, users)
-    lens = m.indptr[users + 1] - m.indptr[users]
-    sub_idx = m.indices[pos].astype(np.int32)
-    sub_val = m.values[pos]
-    sub_rank = rank[pos]
-    for t in range(1, t_max + 1):
-        keep = sub_rank < t
-        counts = np.minimum(lens, t)
-        yield t, _assign_rows(model, sub_idx[keep], sub_val[keep], counts)
+    ordering: PrefixOrdering = BY_ITEM_INDEX,
+) -> PrefixReplay:
+    """Assign every prefix of every user's history to the frozen centroids.
+
+    One walk over the ratings in prefix order: step t adds each user's t-th
+    rating v at item i to a running dot with every centroid (v times column i
+    of the centroids) and v squared to a running norm, and takes the nearest
+    centroid from those sums. Users are walked longest history first, so the
+    users still adding ratings at step t are a leading block of rows.
+    """
+    users = _validate_users(model, m, users)
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if ordering.kind == "by_timestamp" and m.timestamps is None:
+        raise ValueError("by_timestamp ordering needs a matrix with timestamps")
+    lengths = m.indptr[users + 1] - m.indptr[users]
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    pos, seg = _gather_rows(m.indptr, users[order])
+    if ordering.kind == "by_timestamp":
+        pos = pos[np.lexsort((m.indices[pos], m.timestamps[pos], seg))]
+    starts = np.cumsum(lens) - lens
+    top = int(lens[0])
+    # reach[t]: how many users hold at least t ratings, for t = 0..top + 1
+    reach = np.searchsorted(-lens, -np.arange(top + 2), side="right")
+
+    ct = np.ascontiguousarray(model.centroids.T)
+    cnorms = model.centroid_sq_norms
+    n = len(users)
+    dots = np.zeros((n, model.n_clusters))
+    norms = np.zeros(n)
+    labels = np.empty((t_max, n), dtype=np.intp)
+    final = np.empty(n, dtype=np.intp)
+    for t in range(top + 1):
+        act, done = reach[t], reach[t + 1]  # rows done..act end their history at t
+        if t:
+            e = pos[starts[:act] + (t - 1)]
+            v = m.values[e]
+            dots[:act] += v[:, None] * ct[m.indices[e]]
+            norms[:act] += v * v
+        if 1 <= t <= t_max:
+            labels[t - 1, :act] = _nearest(dots[:act], norms[:act], cnorms)
+            final[done:act] = labels[t - 1, done:act]
+        elif done < act:
+            final[done:act] = _nearest(dots[done:act], norms[done:act], cnorms)
+    saturated = lens[None, :] < np.arange(1, t_max + 1)[:, None]
+    np.copyto(labels, final, where=saturated)
+
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    return PrefixReplay(users, lengths, labels[:, back], final[back], ordering)
 
 
-def _final_labels(model: ClusterModel, m: RatingMatrix, users: np.ndarray) -> np.ndarray:
-    """Assignment of each user's full row against the frozen centroids."""
-    pos, _ = _gather_rows(m.indptr, users)
-    lens = m.indptr[users + 1] - m.indptr[users]
-    return _assign_rows(model, m.indices[pos].astype(np.int32), m.values[pos], lens)
+def _checked_replay(model, m, users, t_max, ordering, replay) -> PrefixReplay:
+    """``replay`` if it covers these users, prefix lengths and ordering; else a fresh one."""
+    if replay is None:
+        return prefix_replay(model, m, users, t_max, ordering)
+    users = _validate_users(model, m, users)
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if replay.t_max < t_max or replay.ordering != ordering or not np.array_equal(replay.users, users):
+        raise ValueError("replay does not cover these users, prefix lengths and ordering")
+    return replay
 
 
 def success_curve(
@@ -174,22 +224,21 @@ def success_curve(
     users,
     t_max: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
+    *,
+    replay: PrefixReplay | None = None,
 ) -> SuccessCurve:
-    """Per-prefix-length agreement with the final cluster over users with >= t ratings."""
-    users = _validate_users(model, m, users)
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    final = _final_labels(model, m, users)
-    lens = m.indptr[users + 1] - m.indptr[users]
-    t_stop = min(t_max, int(lens.max()))
+    """Per-prefix-length agreement with the final cluster over users with >= t ratings.
+
+    ``replay``, from ``prefix_replay`` over the same model, matrix, users
+    and ordering, saves running the replay here.
+    """
+    replay = _checked_replay(model, m, users, t_max, ordering, replay)
+    lens = replay.lengths
     points = []
-    for t, labels in _prefix_labels(model, m, users, t_stop, ordering):
+    for t in range(1, min(t_max, int(lens.max())) + 1):
         active = lens >= t
-        n_eval = int(active.sum())
-        if n_eval == 0:
-            break
-        frac = float((labels[active] == final[active]).mean())
-        points.append(SuccessPoint(t, frac, n_eval))
+        frac = float((replay.labels[t - 1][active] == replay.final[active]).mean())
+        points.append(SuccessPoint(t, frac, int(active.sum())))
     return SuccessCurve(points=tuple(points))
 
 
@@ -199,25 +248,24 @@ def quality_curve(
     users,
     t_max: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
+    *,
+    replay: PrefixReplay | None = None,
 ) -> QualityCurve:
     """Mean signed quality of prefix-assigned clusters versus final clusters.
 
     Every user contributes at every t with a prefix capped at their history
     length, so the reference series is constant and the current series meets
-    it exactly at saturation.
+    it exactly at saturation. ``replay`` is taken as in ``success_curve``.
     """
-    users = _validate_users(model, m, users)
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    replay = _checked_replay(model, m, users, t_max, ordering, replay)
     terms = davies_bouldin(model, m).per_cluster_db_term
-    final = _final_labels(model, m, users)
-    ref_terms = terms[final]
+    ref_terms = terms[replay.final]
     if np.isnan(ref_terms).any():
         raise DegenerateModelError("a final cluster has no usable quality term")
     reference = float(np.mean(-ref_terms))
     points = []
-    for t, labels in _prefix_labels(model, m, users, t_max, ordering):
-        cur_terms = terms[labels]
+    for t in range(1, t_max + 1):
+        cur_terms = terms[replay.labels[t - 1]]
         if np.isnan(cur_terms).any():
             raise DegenerateModelError(
                 f"prefix assignment at t={t} reached a cluster with no quality term"
@@ -413,7 +461,7 @@ def write_success_csv(curve: SuccessCurve, dest: str | Path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "success_fraction", "n_evaluated"])
         for p in curve.points:
-            w.writerow([p.t, repr(p.success_fraction), p.n_evaluated])
+            w.writerow([int(p.t), repr(float(p.success_fraction)), int(p.n_evaluated)])
 
 
 def read_success_csv(source: str | Path) -> SuccessCurve:
@@ -432,7 +480,11 @@ def write_quality_csv(curve: QualityCurve, dest: str | Path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "current_quality_mean", "reference_quality_mean"])
         for p in curve.points:
-            w.writerow([p.t, repr(p.current_quality_mean), repr(p.reference_quality_mean)])
+            w.writerow([
+                int(p.t),
+                repr(float(p.current_quality_mean)),
+                repr(float(p.reference_quality_mean)),
+            ])
 
 
 def read_quality_csv(source: str | Path) -> QualityCurve:

@@ -5,8 +5,9 @@ centroids through one product kernel, chosen once per matrix from its fill
 ratio: a dense array multiplied by BLAS when at least ``DENSE_FILL`` of the
 cells hold a rating, the CSR matrix otherwise. The k-means++ init, every Lloyd
 assignment, the empty-cluster repair and ``load_model``'s reassignment all go
-through it. Centroid means are always a CSR segment sum, so they do not depend
-on the kernel.
+through it. Centroid means are always a segment sum over the matrix's own
+CSR arrays, so they do not depend on the kernel, and the dense kernel needs no
+scipy at all.
 
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
 thread count: restarts are the only parallel level, each one runs whole on one
@@ -24,14 +25,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import RatingMatrix
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 # Fill ratio (ratings / cells) from which rows are multiplied as a dense
 # array. Measured with one BLAS thread on random grids (2-vCPU Xeon, OpenBLAS
@@ -155,11 +153,19 @@ def fill_ratio(m: RatingMatrix) -> float:
     return m.n_ratings / cells if cells else 0.0
 
 
-def _kernel_rows(m: RatingMatrix, csr: sparse.csr_matrix):
-    """The rows as the product kernel takes them, and the kernel's name."""
+def _kernel_rows(m: RatingMatrix):
+    """The rows as the product kernel takes them, and the kernel's name.
+
+    The dense array is byte for byte ``m.to_csr().toarray()``, which sums
+    each rating into zeros: adding 0.0 turns a stored -0.0 into 0.0 as that
+    sum does.
+    """
     if fill_ratio(m) >= DENSE_FILL:
-        return csr.toarray(), "dense"
-    return csr, "csr"
+        rows = np.zeros((m.n_users, m.n_items))
+        rows[np.repeat(np.arange(m.n_users), np.diff(m.indptr)), m.indices] = m.values
+        rows += 0.0
+        return rows, "dense"
+    return m.to_csr(), "csr"
 
 
 def _dense_rows(X, rows) -> np.ndarray:
@@ -258,13 +264,13 @@ def _repair_empty(
         dists[p] = 0.0
 
 
-def _cluster_means(X: sparse.csr_matrix, labels: np.ndarray, k: int) -> np.ndarray:
-    d = X.shape[1]
+def _cluster_means(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
+    d = m.n_items
     # Item-major bins: each cell sums its members in ascending row order.
-    bins = X.indices.astype(np.int64) * k + np.repeat(labels, np.diff(X.indptr))
+    bins = m.indices.astype(np.int64) * k + np.repeat(labels, np.diff(m.indptr))
     # The (k, d) transpose is F-ordered like the sparse product it replaced;
     # the einsum centroid norms, and so the SSE, depend on that layout.
-    sums = np.bincount(bins, weights=X.data, minlength=d * k).reshape(d, k).T
+    sums = np.bincount(bins, weights=m.values, minlength=d * k).reshape(d, k).T
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     counts[counts == 0] = 1.0  # empty clusters keep a zero centroid; repair handles them
     return sums / counts[:, None]
@@ -298,16 +304,17 @@ def _init_centroids(
 
 def _lloyd(
     X,
-    csr: sparse.csr_matrix,
+    m: RatingMatrix,
     xnorms: np.ndarray,
     centroids: np.ndarray,
     cfg: KMeansConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[float], RestartRecord]:
     """One Lloyd run. Returns (centroids, labels, per-step SSE, how it ended).
 
-    `X` holds the rows for the product kernel, `csr` the same rows for the
-    mean update. Every step assigns and repairs first, so the returned labels
-    belong to the returned centroids and the last SSE is theirs.
+    `X` holds the rows for the product kernel; the mean update reads the
+    same rows from `m`. Every step assigns and repairs first, so the
+    returned labels belong to the returned centroids and the last SSE is
+    theirs.
     """
     labels = None
     shift = np.inf
@@ -327,7 +334,7 @@ def _lloyd(
         if stop is not None:
             return centroids, new_labels, history, RestartRecord(step, stop, history[-1])
         labels = new_labels
-        new_centroids = _cluster_means(csr, labels, centroids.shape[0])
+        new_centroids = _cluster_means(m, labels, centroids.shape[0])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
 
@@ -362,14 +369,13 @@ def fit(
     if cfg.n_clusters > m.n_users:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds n_users={m.n_users}")
 
-    csr = m.to_csr()
-    X, kernel = _kernel_rows(m, csr)
+    X, kernel = _kernel_rows(m)
     xnorms = _row_sq_norms(m)
 
     def run(r: int):
         rng = np.random.default_rng(cfg.seed + r)
         centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng, cfg.init)
-        return _lloyd(X, csr, xnorms, centroids0, cfg)
+        return _lloyd(X, m, xnorms, centroids0, cfg)
 
     # Results arrive in restart order; each is dropped once compared, so only
     # the best run and those still in flight are held.
@@ -460,7 +466,7 @@ def load_model(path: str | Path, m: RatingMatrix) -> ClusterModel:
         raise ValueError(f"centroid block is {centroids.shape}, header says {(k, d)}")
     if m.n_items != d:
         raise ValueError("matrix item space does not match the model file")
-    X, kernel = _kernel_rows(m, m.to_csr())
+    X, kernel = _kernel_rows(m)
     with _one_blas_thread():
         labels, _ = _assign_all(X, _row_sq_norms(m), centroids)
     centroids.flags.writeable = False

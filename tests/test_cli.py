@@ -44,14 +44,14 @@ def _write_jester(path, n_users=30, rated=60, seed=0):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_movielens(path, seed=1):
+def _write_movielens(path, seed=1, n_items=30):
     """40 users in three value tiers; 10 users hold the 5-rating minimum."""
     rng = np.random.default_rng(seed)
     tier_vals = [(1, 2), (3, 3), (4, 5)]
     lines = []
     for u in range(40):
         n = 5 if u < 10 else int(rng.integers(8, 13))
-        items = rng.choice(30, size=n, replace=False)
+        items = rng.choice(n_items, size=n, replace=False)
         lo, hi = tier_vals[u % 3]
         for j, it in enumerate(items):
             val = int(rng.integers(lo, hi + 1))
@@ -492,6 +492,36 @@ def test_unexpected_exception_is_internal_error(jester_file, tmp_path, capsys, m
     assert rc in (EXIT_USAGE, EXIT_INTERNAL)
 
 
+def test_curves_call_each_curve_with_its_users_third(ml_file, tmp_path, monkeypatch):
+    # The benchmark's traced run wraps these functions by name and reads the
+    # users from their third positional argument.
+    calls = []
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, np.asarray(args[2]).tolist()))
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli.xp, "success_curve", recorded("success", xp.success_curve))
+    monkeypatch.setattr(cli.xp, "quality_curve", recorded("quality", xp.quality_curve))
+    out = tmp_path / "o"
+    flags = [
+        "--dataset", "movielens", "--input", str(ml_file), "--k-coeff", "10",
+        "--min-ratings", "6", "--sample", "10", "--t-max", "12", "--seed", "0", "--out", str(out),
+    ]
+    assert main(["fit", *flags]) == EXIT_OK
+    assert main(["curves", *flags]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert [name for name, _ in calls] == ["success", "quality", "success"]
+    sample, min_cohort = calls[0][1], calls[2][1]
+    assert len(sample) == summary["curve_users"] == 10
+    assert calls[1][1] == sample
+    assert min_cohort == list(range(10))  # the users holding exactly the 5-rating minimum
+    assert summary["min_cohort_count"] == 10
+
+
 def test_unexpected_exception_in_fit_is_internal_error(jester_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.km, "fit", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("x")))
     rc = main([
@@ -666,13 +696,31 @@ def test_ingest_and_threshold_load_no_scipy(jester_file, tmp_path):
     assert mods == []
 
 
-def test_default_pipeline_loads_no_scipy_spatial_or_optimize(jester_file, tmp_path):
-    codes, mods = _loaded_scipy_modules(tmp_path, [
-        "pipeline", "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
+def test_dense_kernel_pipeline_and_curves_load_no_scipy(jester_file, tmp_path):
+    # The Jester fixture is 60 % filled, so k-means takes the dense kernel.
+    flags = [
+        "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
         "--min-ratings", "50", "--sample", "20", "--t-max", "80", "--out", str(tmp_path / "o"),
+    ]
+    codes, mods = _loaded_scipy_modules(tmp_path, ["pipeline", *flags])
+    assert codes == [EXIT_OK]
+    assert mods == []
+    codes, mods = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    assert codes == [EXIT_OK]
+    assert mods == []
+
+
+def test_csr_kernel_pipeline_loads_scipy_sparse_only(tmp_path):
+    data = tmp_path / "ratings.dat"
+    _write_movielens(data, n_items=300)  # about 3 % filled: the CSR kernel
+    codes, mods = _loaded_scipy_modules(tmp_path, [
+        "pipeline", "--dataset", "movielens", "--input", str(data), "--k-coeff", "10",
+        "--coeffs", "10,20", "--min-ratings", "6", "--sample", "10", "--t-max", "12",
+        "--out", str(tmp_path / "o"),
     ])
     assert codes == [EXIT_OK]
-    assert "scipy.sparse" in mods  # fit and curves build CSR matrices
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["kmeans_kernel"] == "csr"
+    assert "scipy.sparse" in mods  # the CSR kernel and the sweep build CSR matrices
     assert not [m for m in mods if m.startswith(("scipy.spatial", "scipy.optimize"))]
 
 

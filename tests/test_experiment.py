@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+import experiment_oracle as oracle
+from conftest import matrix_from_dense
 from coldstart import experiment as xp
 from coldstart.dataset import BY_ITEM_INDEX, BY_TIMESTAMP
 from coldstart.errors import NoIntersectionError
-from coldstart.kmeans import KMeansConfig, fit
+from coldstart.kmeans import ClusterModel, KMeansConfig, fit
 
 
 def _curve(ts, ys, n=100):
@@ -124,6 +127,130 @@ def test_quality_curve_runs_past_saturation(mk_matrix):
     model = fit(m, KMeansConfig(n_clusters=3, seed=0))
     qc = xp.quality_curve(model, m, list(range(m.n_users)), t_max=9)
     assert len(qc.points) == 9  # every user contributes at every t
+
+
+# ---------------------------------------------------------------- prefix replay vs CSR oracle
+
+def _replay_case(seed):
+    """A matrix with timestamp ties and empty rows, centroids with an exact duplicate, and users.
+
+    Ratings are half-points, where sums are exact and ties are real, or
+    two-decimal Jester values, where the two replays round differently. The
+    last centroid repeats an earlier one. Users repeat and come unsorted, and
+    t_max falls anywhere from 1 to past the longest history.
+    """
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+    if rng.random() < 0.5:
+        values = rng.integers(-20, 21, (n_users, n_items)) / 2.0
+    else:
+        values = np.round(rng.uniform(-10, 10, (n_users, n_items)), 2)
+    fill = float(rng.choice([0.1, 0.4, 0.8, 1.0]))
+    dense = np.where(rng.random((n_users, n_items)) < fill, values, np.nan)
+    m = matrix_from_dense(dense, timestamps=rng.integers(0, 4, (n_users, n_items)))
+    centroids = np.concatenate([
+        rng.integers(-20, 21, (int(rng.integers(1, 12)), n_items)) / 2.0,  # grid points
+        np.nan_to_num(dense[rng.integers(0, n_users, 2)]),  # centroids on rows
+    ])
+    centroids = np.concatenate([centroids, centroids[[rng.integers(0, len(centroids))]]])
+    model = ClusterModel(
+        centroids=centroids,
+        assignments=np.zeros(n_users, dtype=np.int64),
+        sse=0.0,
+        config_fingerprint="test",
+    )
+    users = rng.integers(0, n_users, int(rng.integers(1, 2 * n_users + 1)))
+    return model, m, users, int(rng.integers(1, n_items + 3))
+
+
+def _unexplained(model, rows, got):
+    """Rows where ``got`` differs from the oracle's label without a near tie there, and the near-tie count.
+
+    A near tie: the oracle's two smallest distances are within 1e-9 of
+    each other, relative to the squared norms the distance expansion
+    cancels (a row on a centroid has a distance near 0 but a rounding error
+    of the norms' size).
+    """
+    d, xnorms = oracle.distances(model, *rows)
+    want = np.argmin(d, axis=1)
+    two = np.argpartition(d, 1, axis=1)[:, :2]
+    first, second = np.take_along_axis(d, two, axis=1).T
+    scale = xnorms + model.centroid_sq_norms[two].max(axis=1)
+    near = np.abs(second - first) <= 1e-9 * scale
+    differ = got != want
+    return differ & ~near, int((differ & near).sum())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([BY_ITEM_INDEX, BY_TIMESTAMP]))
+@settings(max_examples=200, deadline=None)
+def test_prefix_replay_matches_csr_oracle(seed, ordering):
+    model, m, users, t_max = _replay_case(seed)
+    replay = xp.prefix_replay(model, m, users, t_max, ordering)
+    lens = m.indptr[users + 1] - m.indptr[users]
+    assert replay.users.tolist() == users.tolist()
+    assert replay.lengths.tolist() == lens.tolist()
+    assert replay.labels.shape == (t_max, len(users))
+    dup = model.n_clusters - 1  # an exact tie with an earlier centroid goes to that one
+    assert dup not in replay.final and dup not in replay.labels
+    assert dup not in oracle.final_labels(model, m, users)
+    near_ties = 0
+    wrong, n = _unexplained(model, oracle.final_rows(m, users), replay.final)
+    assert not wrong.any()
+    near_ties += n
+    for t, want in oracle.prefix_labels(model, m, users, t_max, ordering):
+        assert dup not in want
+        wrong, n = _unexplained(model, oracle.prefix_rows(m, users, t, ordering), replay.labels[t - 1])
+        assert not wrong.any(), t
+        near_ties += n
+        # a saturated prefix is the whole history, from the same sums
+        assert (replay.labels[t - 1][lens <= t] == replay.final[lens <= t]).all()
+    event(f"near-tie label differences: {near_ties}")
+
+
+@pytest.mark.parametrize("ordering", [BY_ITEM_INDEX, BY_TIMESTAMP])
+def test_prefix_replay_matches_csr_oracle_at_jester_scale(ordering):
+    rng = np.random.default_rng(11)
+    values = np.round(rng.uniform(-10, 10, (400, 100)), 2)
+    dense = np.where(rng.random((400, 100)) < 0.66, values, np.nan)
+    m = matrix_from_dense(dense, timestamps=rng.integers(0, 50, (400, 100)))
+    model = fit(m, KMeansConfig(n_clusters=40, restarts=1, max_steps=5, seed=3))
+    users = rng.choice(400, 60, replace=False)
+    replay = xp.prefix_replay(model, m, users, 100, ordering)
+    near_ties = 0
+    wrong, n = _unexplained(model, oracle.final_rows(m, users), replay.final)
+    assert not wrong.any()
+    near_ties += n
+    for t in range(1, 101):
+        wrong, n = _unexplained(model, oracle.prefix_rows(m, users, t, ordering), replay.labels[t - 1])
+        assert not wrong.any(), t
+        near_ties += n
+    assert near_ties <= 0.01 * replay.labels.size  # the tolerance hides no systematic error
+
+
+def test_curves_take_a_shared_replay(mk_matrix):
+    m = _three_tier_matrix(mk_matrix)
+    model = fit(m, KMeansConfig(n_clusters=3, seed=0))
+    users = np.array([4, 0, 7, 4, 9])
+    both = xp.prefix_replay(model, m, np.concatenate([users, [1, 2]]), 6)
+    mine = both.take(slice(0, len(users)))
+    assert xp.success_curve(model, m, users, 6, replay=mine) == xp.success_curve(model, m, users, 6)
+    assert xp.quality_curve(model, m, users, 5, replay=mine) == xp.quality_curve(model, m, users, 5)
+    rest = both.take(slice(len(users), None))
+    assert xp.success_curve(model, m, [1, 2], 6, replay=rest) == xp.success_curve(model, m, [1, 2], 6)
+
+
+@pytest.mark.parametrize(
+    "users, t_max, ordering",
+    [([0, 4], 3, BY_ITEM_INDEX), ([4, 0, 7], 4, BY_ITEM_INDEX), ([4, 0, 7], 3, BY_TIMESTAMP)],
+    ids=["other-users", "longer-t-max", "other-ordering"],
+)
+def test_curves_reject_a_replay_that_does_not_cover_them(mk_matrix, users, t_max, ordering):
+    m = _three_tier_matrix(mk_matrix)
+    model = fit(m, KMeansConfig(n_clusters=3, seed=0))
+    replay = xp.prefix_replay(model, m, [4, 0, 7], 3)
+    for curve in (xp.success_curve, xp.quality_curve):
+        with pytest.raises(ValueError, match="replay does not cover"):
+            curve(model, m, users, t_max, ordering, replay=replay)
 
 
 # ---------------------------------------------------------------- cohort split
@@ -274,6 +401,17 @@ def test_quality_csv_round_trip(tmp_path):
     )
     back = xp.read_quality_csv(path)
     assert back == curve
+
+
+def test_csv_round_trip_of_numpy_scalars(tmp_path):
+    success = xp.SuccessCurve((xp.SuccessPoint(np.int64(1), np.float64(0.25), np.intp(8)),))
+    quality = xp.QualityCurve((xp.QualityPoint(np.int64(1), np.float64(-2.0), np.float64(-0.5)),))
+    xp.write_success_csv(success, tmp_path / "success.csv")
+    xp.write_quality_csv(quality, tmp_path / "quality.csv")
+    assert (tmp_path / "success.csv").read_text().splitlines()[1] == "1,0.25,8"
+    assert (tmp_path / "quality.csv").read_text().splitlines()[1] == "1,-2.0,-0.5"
+    assert xp.read_success_csv(tmp_path / "success.csv") == success
+    assert xp.read_quality_csv(tmp_path / "quality.csv") == quality
 
 
 def test_read_success_csv_rejects_wrong_header(tmp_path):

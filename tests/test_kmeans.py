@@ -241,17 +241,35 @@ def test_assign_all_blocks_match_one_block(monkeypatch, kernel, chunk):
     np.testing.assert_allclose(dists, expect.min(axis=1), atol=1e-9)
 
 
-def test_cluster_means_matches_dense_oracle():
+def test_cluster_means_matches_dense_oracle(mk_matrix):
     rng = np.random.default_rng(6)
     dense = np.where(rng.random((30, 7)) < 0.5, rng.uniform(1, 5, (30, 7)), 0.0)
     labels = rng.integers(0, 4, 30)
     labels[labels == 2] = 0  # cluster 2 stays empty
-    means = km._cluster_means(sparse.csr_matrix(dense), labels, 4)
+    means = km._cluster_means(mk_matrix(np.where(dense == 0.0, np.nan, dense)), labels, 4)
     for j in range(4):
         members = dense[labels == j]
         expect = members.mean(axis=0) if len(members) else np.zeros(7)
         np.testing.assert_allclose(means[j], expect, rtol=1e-12, atol=0)
     assert (means[2] == 0.0).all()
+
+
+@pytest.mark.parametrize("fill", ["dense", "csr"])
+def test_kernel_rows_match_csr_toarray(mk_matrix, fill):
+    rng = np.random.default_rng(8)
+    share = 0.9 if fill == "dense" else 0.1
+    dense = np.where(rng.random((12, 9)) < share, rng.uniform(-5, 5, (12, 9)), np.nan)
+    dense[4] = np.nan  # an empty row
+    dense[:, -1] = np.nan  # nobody rated the last item
+    dense[0, 0] = -0.0  # toarray adds into zeros, so this comes out as 0.0
+    m = mk_matrix(dense)
+    rows, kernel = km._kernel_rows(m)
+    assert kernel == fill
+    want = m.to_csr().toarray()
+    got = rows if kernel == "dense" else rows.toarray()
+    assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- dense kernel vs CSR oracle
