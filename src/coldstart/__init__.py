@@ -22,7 +22,6 @@ from .dataset import (
     normalize_rating,
     parse_jester,
     parse_movielens,
-    prefix,
     sample_users,
 )
 from .errors import (
@@ -113,7 +112,6 @@ __all__ = [
     "parse_movielens",
     "per_cluster_quality",
     "predict_score",
-    "prefix",
     "quality_curve",
     "regression_intersection",
     "sample_users",

@@ -302,6 +302,8 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
         "kmeans_fill_ratio": km.fill_ratio(m),
         "kmeans_blas_thread_cap": km.blas_thread_cap_found(),
         "kmeans_restarts": [r._asdict() for r in model.restarts],
+        "kmeans_config_fingerprint": model.config_fingerprint,
+        "numpy_version": np.__version__,
     }
 
 

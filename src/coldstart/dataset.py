@@ -10,8 +10,8 @@ block, into numeric columns and check them with array operations, so no
 Python object is made per rating: ``parse_movielens`` returns
 ``RatingEvents`` columns, which ``build_matrix`` sorts and deduplicates. Only
 when a call fails does a line-by-line scan of that block run, to name the
-first bad line. ``export_canonical_csv`` writes a matrix back out in
-fixed-size blocks of rows.
+first bad line. ``export_canonical_csv`` writes a matrix back out as text
+gathered from per-field tables into byte grids, with no Python code per row.
 """
 
 from __future__ import annotations
@@ -336,7 +336,8 @@ def _load_rows(
             return np.empty(0, dtype=dtype)
         if len(delimiter) == 1:
             return np.loadtxt(part, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
-        mapped = (s.replace(delimiter, _UNIT_SEPARATOR) for s in part)
+        # One replace over the whole block; stripped lines hold no "\n".
+        mapped = "\n".join(part).replace(delimiter, _UNIT_SEPARATOR).split("\n")
         return np.loadtxt(mapped, dtype=dtype, delimiter=_UNIT_SEPARATOR, comments=None, ndmin=1)
 
     try:
@@ -630,62 +631,61 @@ def sample_users(
     return [int(population[i]) for i in picked]
 
 
-def prefix(
-    m: RatingMatrix,
-    user: int,
-    t: int,
-    ordering: PrefixOrdering = BY_ITEM_INDEX,
+# Bytes per block of canonical.csv text, counted at the widest a row can be,
+# so that every buffer a block or window makes (gathered fields, the padded
+# grid, its mask, the text, the window's int64 index arrays) stays within it
+# for any id and value widths, below the about 0.3 MB of text per 16,384-row
+# block the per-row writer freed on Jester. Buffers freed before a k-means fit
+# move its peak RSS (the FOUND: entry on fit's peak memory in CHANGES.md);
+# 256 KiB read 2.1 MB higher on one jester-fit seed, 0.4 MB lower on another.
+_EXPORT_BLOCK = 1 << 17
+
+
+def _text_table(
+    column: np.ndarray, dtype: type, fmt: Callable[[object], str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First min(t, history) ratings of a user under ``ordering``, as an item-sorted sparse row.
+    """``fmt`` of each distinct value of ``column`` as a NUL-padded uint8 table, and each element's row.
 
-    ``by_timestamp`` needs the matrix's per-rating timestamps. Prefixes are
-    nested: the result for t1 is a subset of the result for any t2 >= t1.
+    Values are told apart by bit pattern, so 0.0 and -0.0 keep their own text.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    idx, vals = m.row(user)
-    take = min(t, len(idx))
-
-    if ordering.kind == "by_item_index":
-        sel = np.arange(take)
-    else:
-        ts = m.row_timestamps(user)
-        if ts is None:
-            raise ValueError("by_timestamp ordering requires timestamps")
-        # Tie-break on item index; np.lexsort's last key is primary.
-        order = np.lexsort((idx, ts))
-        sel = np.sort(order[:take])
-    return idx[sel].copy(), vals[sel].copy()
-
-
-# Rows per block of canonical.csv text: bounds the export's memory at any
-# matrix size (a block's text is about 0.4 MB).
-_EXPORT_BLOCK = 16384
+    column = np.ascontiguousarray(column, dtype=dtype)
+    distinct, which = np.unique(column.view(np.int64), return_inverse=True)
+    table = np.asarray([fmt(x) for x in distinct.view(dtype).tolist()], dtype=np.bytes_)
+    return table.view(np.uint8).reshape(len(distinct), table.itemsize), which
 
 
 def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
     """Write the canonical ``user_id,item_id,value,timestamp`` export (empty timestamp if absent).
 
-    Values are written as ``repr(float)``. Rows go out in blocks of
-    ``_EXPORT_BLOCK``; each block formats each of its distinct values once.
+    Values are written as ``repr(float)``, ids and timestamps as ``str(int)``,
+    and no Python code runs per row. Each field's text, with the separator
+    that follows it, is made once per distinct id in the matrix and once per
+    distinct value or timestamp in each window of ``_EXPORT_BLOCK // 8`` rows,
+    into NUL-padded uint8 tables. Each block of at most ``_EXPORT_BLOCK``
+    bytes gathers its fields from those tables into one grid, which is
+    written without its NULs.
     """
+    stamped = m.timestamps is not None
+    users, user_of = _text_table(m.user_ids, np.int64, "{},".format)
+    items, item_of = _text_table(m.item_ids, np.int64, "{},".format)
+    value_text = ("{!r}," if stamped else "{!r},\n").format
+    # A float64 repr is at most 24 characters ("-2.2250738585072014e-308"), an int64 20.
+    widest = users.shape[1] + items.shape[1] + (46 if stamped else 26)
+    window, block = max(1, _EXPORT_BLOCK // 8), max(1, _EXPORT_BLOCK // widest)
 
     def _write(fh) -> None:
         fh.write("user_id,item_id,value,timestamp\n")
-        for lo in range(0, m.n_ratings, _EXPORT_BLOCK):
-            hi = min(lo + _EXPORT_BLOCK, m.n_ratings)
+        for lo in range(0, m.n_ratings, window):
+            hi = min(lo + window, m.n_ratings)
             rows = np.searchsorted(m.indptr, np.arange(lo, hi), side="right") - 1
-            users = m.user_ids[rows].tolist()
-            items = m.item_ids[m.indices[lo:hi]].tolist()
-            # Distinct bit patterns, so 0.0 and -0.0 keep their own text.
-            vals = np.ascontiguousarray(m.values[lo:hi], dtype=np.float64)
-            bits, which = np.unique(vals.view(np.int64), return_inverse=True)
-            text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-            values = text[which].tolist()
-            stamps = [""] * (hi - lo) if m.timestamps is None else m.timestamps[lo:hi].tolist()
-            fh.write(
-                "".join([f"{u},{i},{v},{t}\n" for u, i, v, t in zip(users, items, values, stamps)])
-            )
+            fields = [(users, user_of[rows]), (items, item_of[m.indices[lo:hi]])]
+            fields.append(_text_table(m.values[lo:hi], np.float64, value_text))
+            if stamped:
+                fields.append(_text_table(m.timestamps[lo:hi], np.int64, "{}\n".format))
+            for a in range(0, hi - lo, block):
+                # np.take gathers whole table rows several times faster than indexing.
+                grid = np.hstack([np.take(t, of[a : a + block], axis=0) for t, of in fields])
+                fh.write(grid[grid != 0].tobytes().decode("ascii"))
 
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:

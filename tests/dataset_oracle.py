@@ -1,4 +1,4 @@
-"""Line-by-line reference versions of the dataset parsers and the canonical export.
+"""Line-by-line reference versions of the dataset parsers and the canonical export, and ``prefix``.
 
 These are the per-rating Python implementations that ``coldstart.dataset``
 replaced with array code. The differential tests hold the array versions to
@@ -12,6 +12,10 @@ The array parsers follow ``np.loadtxt`` where it and Python's ``int()`` and
 or count beyond int64 and digits with ``_`` or outside ASCII are rejected
 (the originals accepted them, and an id beyond int64 then overflowed), and
 numbers padded with the control characters ``\x1c``-``\x1f`` are accepted.
+
+``prefix`` is the one-user form of the prefixes that
+``experiment.prefix_replay`` walks for whole cohorts; the unit tests pin the
+prefix orderings on it.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from typing import IO
 import numpy as np
 
 from coldstart.dataset import (
+    BY_ITEM_INDEX,
     IDENTITY_1_TO_5,
     JESTER_AFFINE,
     JESTER_SENTINEL,
     NormalizationScheme,
+    PrefixOrdering,
     RatingEvent,
     RatingMatrix,
     _SENTINEL_TOL,
@@ -183,3 +189,31 @@ def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
             _write(fh)
     else:
         _write(dest)
+
+
+def prefix(
+    m: RatingMatrix,
+    user: int,
+    t: int,
+    ordering: PrefixOrdering = BY_ITEM_INDEX,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First min(t, history) ratings of a user under ``ordering``, as an item-sorted sparse row.
+
+    ``by_timestamp`` needs the matrix's per-rating timestamps. Prefixes are
+    nested: the result for t1 is a subset of the result for any t2 >= t1.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    idx, vals = m.row(user)
+    take = min(t, len(idx))
+
+    if ordering.kind == "by_item_index":
+        sel = np.arange(take)
+    else:
+        ts = m.row_timestamps(user)
+        if ts is None:
+            raise ValueError("by_timestamp ordering requires timestamps")
+        # Tie-break on item index; np.lexsort's last key is primary.
+        order = np.lexsort((idx, ts))
+        sel = np.sort(order[:take])
+    return idx[sel].copy(), vals[sel].copy()

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import dataset_oracle
 import numpy as np
 import pytest
 
 from coldstart import cli
+from coldstart import dataset as ds
 from coldstart import experiment as xp
 from coldstart import kmeans as km
 from coldstart.cli import (
@@ -369,6 +371,29 @@ def test_fit_summary_records_each_restart(jester_file, tmp_path):
         assert r["stop"] in ("labels_stable", "shift_below_tol", "max_steps")
         assert 0 <= r["steps"] <= 100
     assert min(r["sse"] for r in records) == summary["sse"]
+
+
+def test_fit_summary_records_config_fingerprint_and_numpy_version(jester_file, tmp_path):
+    flags = ["--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10"]
+    summaries = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["fit", *flags, "--out", str(out)]) == EXIT_OK
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    first, second = summaries
+    assert re.fullmatch(r"[0-9a-f]{16}", first["kmeans_config_fingerprint"])
+    assert first["kmeans_config_fingerprint"] == second["kmeans_config_fingerprint"]
+    assert first["numpy_version"] == second["numpy_version"] == np.__version__
+
+
+def test_ingest_writes_the_csv_writer_export(ml_file, tmp_path):
+    # The MovieLens fixture carries timestamps; both sides write through a file path.
+    out = tmp_path / "o"
+    rc = main(["ingest", "--dataset", "movielens", "--input", str(ml_file), "--out", str(out)])
+    assert rc == EXIT_OK
+    want = tmp_path / "oracle.csv"
+    dataset_oracle.export_canonical_csv(ds.build_matrix(ds.parse_movielens(ml_file)), want)
+    assert (out / "canonical.csv").read_bytes() == want.read_bytes()
+    assert not (out / "canonical.csv").read_text().splitlines()[1].endswith(",")
 
 
 def test_model_does_not_depend_on_openblas_thread_count(tmp_path):

@@ -217,10 +217,10 @@ def test_sample_users_reproducible(mk_matrix):
 
 def test_prefix_by_item_index(mk_matrix):
     m = mk_matrix([[5.0, np.nan, 3.0, 1.0]])
-    idx, vals = ds.prefix(m, 0, 2, ds.BY_ITEM_INDEX)
+    idx, vals = oracle.prefix(m, 0, 2, ds.BY_ITEM_INDEX)
     assert idx.tolist() == [0, 2]
     assert vals.tolist() == [5.0, 3.0]
-    idx, vals = ds.prefix(m, 0, 99, ds.BY_ITEM_INDEX)
+    idx, vals = oracle.prefix(m, 0, 99, ds.BY_ITEM_INDEX)
     assert idx.tolist() == [0, 2, 3]
 
 
@@ -230,7 +230,7 @@ def test_prefix_by_timestamp(mk_matrix):
         [[5.0, np.nan, 3.0, 1.0]],
         timestamps=[[20, 0, 30, 10]],
     )
-    idx, vals = ds.prefix(m, 0, 2, ds.BY_TIMESTAMP)
+    idx, vals = oracle.prefix(m, 0, 2, ds.BY_TIMESTAMP)
     assert idx.tolist() == [0, 3]
     assert vals.tolist() == [5.0, 1.0]
 
@@ -238,7 +238,7 @@ def test_prefix_by_timestamp(mk_matrix):
 def test_prefix_by_timestamp_requires_timestamps(mk_matrix):
     m = mk_matrix([[1.0, 2.0]])
     with pytest.raises(ValueError, match="timestamp"):
-        ds.prefix(m, 0, 1, ds.BY_TIMESTAMP)
+        oracle.prefix(m, 0, 1, ds.BY_TIMESTAMP)
 
 
 def test_prefixes_are_nested(mk_matrix):
@@ -250,7 +250,7 @@ def test_prefixes_are_nested(mk_matrix):
         for u in range(m.n_users):
             prev: set[int] = set()
             for t in range(1, m.row_length(u) + 1):
-                idx, _ = ds.prefix(m, u, t, ordering)
+                idx, _ = oracle.prefix(m, u, t, ordering)
                 cur = set(idx.tolist())
                 assert len(cur) == t
                 assert prev <= cur
@@ -518,18 +518,21 @@ def test_movielens_events_read_like_a_list():
 
 # ---------------------------------------------------------------- export vs csv.writer
 
-def _export_both(m, block, monkeypatch):
-    monkeypatch.setattr(ds, "_EXPORT_BLOCK", block)
+def _export_both(m, block):
+    """The export and the csv.writer oracle's text of ``m``, ``block`` bytes per block."""
     got, want = io.StringIO(), io.StringIO()
-    ds.export_canonical_csv(m, got)
+    with mock.patch.object(ds, "_EXPORT_BLOCK", block):
+        ds.export_canonical_csv(m, got)
     oracle.export_canonical_csv(m, want)
     return got.getvalue(), want.getvalue()
 
 
 @pytest.mark.parametrize("with_timestamps", [False, True])
-def test_export_blocks_match_csv_writer(with_timestamps, monkeypatch, mk_matrix):
+def test_export_blocks_match_csv_writer(with_timestamps, mk_matrix):
     # 17-digit reprs, both zeros, and rows of 0-6 ratings that straddle the
-    # 7-row block boundaries; ids are not row indices.
+    # block and window boundaries (one row per block at 1, 7 and 27 bytes;
+    # blocks of up to 9 rows in windows of 12 and 41 rows at 100 and 333);
+    # ids are not row indices.
     vals = [0.1 + 0.2, 1 / 3, 2.0, -0.0, 0.0, 4.999999999999999, 1e-300, 123456.789]
     rng = np.random.default_rng(5)
     dense = np.full((9, 8), np.nan)
@@ -542,7 +545,57 @@ def test_export_blocks_match_csv_writer(with_timestamps, monkeypatch, mk_matrix)
         m, user_ids=np.arange(9) * 11 - 20, item_ids=np.arange(8) + 100
     )
     assert m.n_ratings == 27
-    for block in (1, 7, 27, 65536):
-        got, want = _export_both(m, block, monkeypatch)
+    for block in (1, 7, 27, 100, 333, 65536):
+        got, want = _export_both(m, block)
         assert got == want
     assert "0.30000000000000004" in got and ",-0.0," in got and ",0.0," in got
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_EXPORT_VALUES = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1 + 0.2, 1 / 3]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def export_matrices(draw):
+    """Up to 60 ratings over up to 10 users (rows may be empty), ids anywhere in int64."""
+    n_items = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.sets(st.integers(0, n_items - 1)), max_size=10))
+    n = sum(map(len, rows))
+    stamps = draw(st.none() | st.lists(_INT64, min_size=n, max_size=n))
+    return ds.RatingMatrix(
+        n_users=len(rows),
+        n_items=n_items,
+        indptr=np.cumsum([0] + [len(r) for r in rows]),
+        indices=np.asarray([i for r in rows for i in sorted(r)], dtype=np.int32),
+        values=np.asarray(draw(st.lists(_EXPORT_VALUES, min_size=n, max_size=n)), dtype=float),
+        user_ids=np.asarray(
+            draw(st.lists(_INT64, min_size=len(rows), max_size=len(rows), unique=True)),
+            dtype=np.int64,
+        ),
+        item_ids=np.asarray(
+            draw(st.lists(_INT64, min_size=n_items, max_size=n_items, unique=True)),
+            dtype=np.int64,
+        ),
+        scheme=ds.IDENTITY_1_TO_5,
+        timestamps=None if stamps is None else np.asarray(stamps, dtype=np.int64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(export_matrices(), st.sampled_from([1, 7, 100, 333, ds._EXPORT_BLOCK]))
+def test_export_matches_csv_writer(m, block):
+    m.validate()
+    got, want = _export_both(m, block)
+    assert got == want
+
+
+@pytest.mark.parametrize("n_users", [0, 3])
+def test_export_of_matrix_without_ratings_is_the_header(n_users, mk_matrix):
+    m = mk_matrix(np.full((n_users, 2), np.nan))
+    got, want = _export_both(m, ds._EXPORT_BLOCK)
+    assert got == want == "user_id,item_id,value,timestamp\n"
