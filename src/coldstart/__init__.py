@@ -19,7 +19,6 @@ from .dataset import (
     build_matrix,
     export_canonical_csv,
     filter_min_ratings,
-    normalize_rating,
     parse_jester,
     parse_movielens,
     sample_users,
@@ -52,10 +51,9 @@ from .kmeans import (
     load_model,
     n_clusters_from_coeff,
     save_model,
-    sq_euclidean,
     sse,
 )
-from .quality import ClusterQuality, cluster_scatter, davies_bouldin, per_cluster_quality
+from .quality import ClusterQuality, davies_bouldin
 from .recsys_eval import (
     EvalConfig,
     SweepResult,
@@ -98,7 +96,6 @@ __all__ = [
     "assign",
     "average_precision",
     "build_matrix",
-    "cluster_scatter",
     "davies_bouldin",
     "detect_breakpoint",
     "export_canonical_csv",
@@ -107,17 +104,14 @@ __all__ = [
     "load_model",
     "n_clusters_from_coeff",
     "ndcg_at_n",
-    "normalize_rating",
     "parse_jester",
     "parse_movielens",
-    "per_cluster_quality",
     "predict_score",
     "quality_curve",
     "regression_intersection",
     "sample_users",
     "save_model",
     "split_by_min_count",
-    "sq_euclidean",
     "sse",
     "success_curve",
     "sweep_coefficient",

@@ -70,11 +70,6 @@ IDENTITY_1_TO_5 = NormalizationScheme("identity_1_to_5", 1.0, 5.0)
 JESTER_AFFINE = NormalizationScheme("jester_affine", -10.0, 10.0)
 
 
-def normalize_rating(raw: float, scheme: NormalizationScheme) -> float:
-    """Map a raw rating into [1, 5]. Strictly monotone; raises RatingRangeError outside the source range."""
-    return scheme.normalize(raw)
-
-
 @dataclass(frozen=True)
 class RatingEvent:
     """One explicit rating with the value already normalized into [1, 5]."""
@@ -213,11 +208,29 @@ class RatingMatrix:
         )
 
     def content_digest(self) -> str:
+        """Short hash of the shape, the CSR arrays, the timestamps and both id maps.
+
+        Each array is framed by its name, dtype and length, so two matrices
+        digest alike only when every one of those is equal.
+        """
         import hashlib
 
-        h = hashlib.sha256()
-        for arr in (self.indptr, self.indices, self.values):
-            h.update(np.ascontiguousarray(arr).tobytes())
+        h = hashlib.sha256(f"{self.n_users} {self.n_items}\n".encode())
+        arrays = {
+            "indptr": self.indptr,
+            "indices": self.indices,
+            "values": self.values,
+            "timestamps": self.timestamps,
+            "user_ids": self.user_ids,
+            "item_ids": self.item_ids,
+        }
+        for name, arr in arrays.items():
+            if arr is None:
+                h.update(f"{name} none\n".encode())
+                continue
+            arr = np.ascontiguousarray(arr)
+            h.update(f"{name} {arr.dtype.str} {arr.size}\n".encode())
+            h.update(arr.tobytes())
         return h.hexdigest()[:16]
 
     def validate(self) -> None:
@@ -244,40 +257,6 @@ class RatingMatrix:
                 raise ValueError("item indices must be strictly increasing within each row")
         if len(self.values) and not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite rating value")
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Iterable[tuple[int, float]]],
-        n_items: int,
-        scheme: NormalizationScheme = IDENTITY_1_TO_5,
-        user_ids: Iterable[int] | None = None,
-        item_ids: Iterable[int] | None = None,
-    ) -> "RatingMatrix":
-        """Assemble a matrix from per-user (item_index, value) lists, mainly for tests and toys."""
-        rows = [sorted(r) for r in rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        idx_parts, val_parts = [], []
-        for u, r in enumerate(rows):
-            indptr[u + 1] = indptr[u] + len(r)
-            idx_parts.extend(i for i, _ in r)
-            val_parts.extend(v for _, v in r)
-        m = cls(
-            n_users=len(rows),
-            n_items=n_items,
-            indptr=indptr,
-            indices=np.asarray(idx_parts, dtype=np.int32),
-            values=np.asarray(val_parts, dtype=np.float64),
-            user_ids=np.asarray(
-                list(user_ids) if user_ids is not None else range(len(rows)), dtype=np.int64
-            ),
-            item_ids=np.asarray(
-                list(item_ids) if item_ids is not None else range(n_items), dtype=np.int64
-            ),
-            scheme=scheme,
-        )
-        m.validate()
-        return m
 
 
 def _iter_lines(source: str | Path | IO) -> Iterator[str]:
@@ -577,13 +556,29 @@ def build_matrix(
     return m
 
 
+def segment_ids(indptr: np.ndarray) -> np.ndarray:
+    """Each stored entry's segment (row of a CSR matrix, column of a CSC one), in storage order."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def segment_sums(segments: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-segment sums of ``weights``, each added from 0.0 in storage order; 0.0 for an empty segment.
+
+    ``segments`` comes from ``segment_ids``. Every row norm, per-row dot and
+    per-column total is taken this way: a sum stays as exact as its own terms
+    allow, where a difference of one running sum over all entries carries the
+    rounding error of everything stored before the segment.
+    """
+    return np.bincount(segments, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
 def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry positions of the given compressed rows, back to back, and each entry's slot in ``rows``."""
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
-    seg = np.repeat(np.arange(len(rows)), lens)
-    shift = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    return np.arange(len(seg)) - shift[seg] + starts[seg], seg
+    out_ptr = np.concatenate([[0], np.cumsum(lens)])
+    seg = segment_ids(out_ptr)
+    return np.arange(len(seg)) - out_ptr[seg] + starts[seg], seg
 
 
 def filter_min_ratings(m: RatingMatrix, min_count: int) -> RatingMatrix:

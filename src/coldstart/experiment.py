@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix, _gather_rows
 from .errors import DegenerateModelError, NoIntersectionError
-from .kmeans import ClusterModel
+from .kmeans import ClusterModel, _sq_dists
 from .quality import davies_bouldin
 
 SEGMENTED_LINEAR = "segmented_linear"
@@ -140,14 +140,6 @@ class PrefixReplay:
         )
 
 
-def _nearest(dots: np.ndarray, norms: np.ndarray, cnorms: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row, in ``_assign_all``'s operation order; ties to the lowest index."""
-    d = dots * -2.0
-    d += norms[:, None]
-    d += cnorms
-    return np.argmin(d, axis=1)
-
-
 def prefix_replay(
     model: ClusterModel,
     m: RatingMatrix,
@@ -161,7 +153,10 @@ def prefix_replay(
     rating v at item i to a running dot with every centroid (v times column i
     of the centroids) and v squared to a running norm, and takes the nearest
     centroid from those sums. Users are walked longest history first, so the
-    users still adding ratings at step t are a leading block of rows.
+    users still adding ratings at step t are a leading block of rows. A
+    whole history's norm is summed in the order ``kmeans`` sums row norms,
+    so under ``BY_ITEM_INDEX`` the final labels see the norms ``fit`` and
+    ``load_model`` see.
     """
     users = _validate_users(model, m, users)
     if t_max < 1:
@@ -194,10 +189,12 @@ def prefix_replay(
             dots[:act] += v[:, None] * ct[m.indices[e]]
             norms[:act] += v * v
         if 1 <= t <= t_max:
-            labels[t - 1, :act] = _nearest(dots[:act], norms[:act], cnorms)
+            d = _sq_dists(dots[:act], norms[:act, None], cnorms)
+            labels[t - 1, :act] = np.argmin(d, axis=1)
             final[done:act] = labels[t - 1, done:act]
         elif done < act:
-            final[done:act] = _nearest(dots[done:act], norms[done:act], cnorms)
+            d = _sq_dists(dots[done:act], norms[done:act, None], cnorms)
+            final[done:act] = np.argmin(d, axis=1)
     saturated = lens[None, :] < np.arange(1, t_max + 1)[:, None]
     np.copyto(labels, final, where=saturated)
 

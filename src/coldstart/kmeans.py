@@ -5,9 +5,13 @@ centroids through one product kernel, chosen once per matrix from its fill
 ratio: a dense array multiplied by BLAS when at least ``DENSE_FILL`` of the
 cells hold a rating, the CSR matrix otherwise. The k-means++ init, every Lloyd
 assignment, the empty-cluster repair and ``load_model``'s reassignment all go
-through it. Centroid means are always a segment sum over the matrix's own
-CSR arrays, so they do not depend on the kernel, and the dense kernel needs no
-scipy at all.
+through it, and every distance comes from one expansion, ``_sq_dists``:
+(-2·x·c + ‖x‖²) + ‖c‖². Row norms, like every other per-row sum, are a
+segment sum in storage order (``dataset.segment_sums``), so ``fit``,
+``load_model``, ``sse``, Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix
+replay of a whole row all see the same norm for it. Centroid means are
+always a segment sum over the matrix's own CSR arrays, so they do not depend
+on the kernel, and the dense kernel needs no scipy at all.
 
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
 thread count: restarts are the only parallel level, each one runs whole on one
@@ -29,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RatingMatrix
+from .dataset import RatingMatrix, segment_ids, segment_sums
 
 # Fill ratio (ratings / cells) from which rows are multiplied as a dense
 # array. Measured with one BLAS thread on random grids (2-vCPU Xeon, OpenBLAS
@@ -126,25 +130,25 @@ def n_clusters_from_coeff(n_users: int, k_coeff: int) -> int:
     return min(max(-(-n_users // k_coeff), 1), n_users)
 
 
-def sq_euclidean(row: tuple[np.ndarray, np.ndarray], centroid: np.ndarray) -> float:
-    """Squared Euclidean distance of a sparse row to a dense vector, zero-filling unrated dimensions."""
-    indices, values = row
-    indices = np.asarray(indices, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    centroid = np.asarray(centroid, dtype=np.float64)
-    if centroid.ndim != 1:
-        raise ValueError("centroid must be a 1-D vector")
-    if len(indices) and (indices.min() < 0 or indices.max() >= centroid.shape[0]):
-        raise ValueError("row index space does not match the centroid dimension")
-    rated = float(((values - centroid[indices]) ** 2).sum())
-    mask = np.ones(centroid.shape[0], dtype=bool)
-    mask[indices] = False
-    return rated + float((centroid[mask] ** 2).sum())
+def _sq_dists(
+    dots: np.ndarray, xnorms: np.ndarray, cnorms: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances from dot products and squared norms: (-2·dots + ‖x‖²) + ‖c‖².
+
+    The operands broadcast: a rows x k block takes ``xnorms[:, None]`` and
+    one norm per centroid; one column of dots per row takes both norms per
+    row. ``out=dots`` works in place, so a block needs no second buffer.
+    The result is not clamped: the expansion can dip below 0 by the
+    rounding of the norms it cancels.
+    """
+    d = np.multiply(dots, -2.0, out=out)
+    d += xnorms
+    d += cnorms
+    return d
 
 
 def _row_sq_norms(m: RatingMatrix) -> np.ndarray:
-    sq = np.concatenate([[0.0], np.cumsum(m.values**2)])
-    return sq[m.indptr[1:]] - sq[m.indptr[:-1]]
+    return segment_sums(segment_ids(m.indptr), m.values * m.values, m.n_users)
 
 
 def fill_ratio(m: RatingMatrix) -> float:
@@ -162,7 +166,7 @@ def _kernel_rows(m: RatingMatrix):
     """
     if fill_ratio(m) >= DENSE_FILL:
         rows = np.zeros((m.n_users, m.n_items))
-        rows[np.repeat(np.arange(m.n_users), np.diff(m.indptr)), m.indices] = m.values
+        rows[segment_ids(m.indptr), m.indices] = m.values
         rows += 0.0
         return rows, "dense"
     return m.to_csr(), "csr"
@@ -234,9 +238,7 @@ def _assign_all(X, xnorms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarra
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         d = X[lo:hi] @ centroids.T
-        d *= -2.0
-        d += xnorms[lo:hi, None]
-        d += cnorms
+        _sq_dists(d, xnorms[lo:hi, None], cnorms, out=d)
         labels[lo:hi] = np.argmin(d, axis=1)
         dists[lo:hi] = d[np.arange(hi - lo), labels[lo:hi]]
     np.maximum(dists, 0.0, out=dists)
@@ -286,19 +288,16 @@ def _init_centroids(
 
     # k-means++: D^2 sampling against the nearest already-chosen center.
     centroids = np.zeros((k, d))
-    first = int(rng.integers(n))
-    centroids[0] = _dense_rows(X, [first])[0]
-    c = centroids[0]
-    d2 = np.maximum(xnorms - 2.0 * (X @ c) + c @ c, 0.0)
-    for j in range(1, k):
+    d2 = np.full(n, np.inf)  # to the nearest chosen center; the first pick is uniform
+    for j in range(k):
         total = d2.sum()
-        if total <= 0.0:
+        if j == 0 or total <= 0.0:
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=d2 / total))
         centroids[j] = _dense_rows(X, [pick])[0]
         c = centroids[j]
-        d2 = np.minimum(d2, np.maximum(xnorms - 2.0 * (X @ c) + c @ c, 0.0))
+        d2 = np.minimum(d2, np.maximum(_sq_dists(X @ c, xnorms, c @ c), 0.0))
     return centroids
 
 
@@ -409,37 +408,38 @@ def fit(
 def assign(
     model: ClusterModel, row: tuple[np.ndarray, np.ndarray]
 ) -> tuple[int, float]:
-    """Nearest-centroid cluster for one sparse row; ties go to the lowest cluster index."""
+    """Nearest centroid for one sparse (item indices, values) row and its squared distance.
+
+    Unrated items count as 0.0, as in ``fit``, and ties go to the lowest
+    cluster index.
+    """
     indices, values = row
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if len(indices) and (indices.min() < 0 or indices.max() >= model.n_items):
         raise ValueError("row index space does not match the model")
-    dots = model.centroids[:, indices] @ values if len(indices) else np.zeros(model.n_clusters)
-    d = model.centroid_sq_norms - 2.0 * dots + float(values @ values)
-    j = int(np.argmin(d))
-    return j, sq_euclidean((indices, values), model.centroids[j])
+    x = np.zeros((1, model.n_items))
+    x[0, indices] = values
+    xnorm = segment_sums(np.zeros(len(values), dtype=np.intp), values * values, 1)
+    labels, dists = _assign_all(x, xnorm, model.centroids)
+    return int(labels[0]), float(dists[0])
 
 
-def sse(model: ClusterModel, m: RatingMatrix) -> float:
-    """Recompute the total within-cluster squared distance under the model's assignments."""
+def _assigned_sq_dists(model: ClusterModel, m: RatingMatrix) -> np.ndarray:
+    """Squared distance of every row to its assigned centroid, from row-order dots and norms."""
     if m.n_items != model.n_items:
         raise ValueError("matrix item space does not match the model")
     if m.n_users != len(model.assignments):
         raise ValueError("matrix user count does not match the model assignments")
-    X = m.to_csr()
-    xnorms = _row_sq_norms(m)
-    total = 0.0
-    for j in range(model.n_clusters):
-        members = np.flatnonzero(model.assignments == j)
-        if len(members) == 0:
-            continue
-        c = model.centroids[j]
-        dots = X[members] @ c
-        total += float(
-            np.maximum(xnorms[members] - 2.0 * dots + c @ c, 0.0).sum()
-        )
-    return total
+    a = model.assignments
+    rows = segment_ids(m.indptr)
+    dots = segment_sums(rows, m.values * model.centroids[a[rows], m.indices], m.n_users)
+    return np.maximum(_sq_dists(dots, _row_sq_norms(m), model.centroid_sq_norms[a]), 0.0)
+
+
+def sse(model: ClusterModel, m: RatingMatrix) -> float:
+    """Recompute the total within-cluster squared distance under the model's assignments."""
+    return float(_assigned_sq_dists(model, m).sum())
 
 
 def save_model(model: ClusterModel, path: str | Path) -> None:

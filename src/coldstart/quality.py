@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import RatingMatrix
 from .errors import DegenerateModelError
-from .kmeans import ClusterModel, _row_sq_norms
+from .kmeans import ClusterModel, _assigned_sq_dists
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,24 +38,15 @@ class ClusterQuality:
 
 
 def _scatters(model: ClusterModel, m: RatingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Member counts and mean member-to-centroid distance per cluster (NaN when empty)."""
-    if m.n_items != model.n_items:
-        raise ValueError("matrix item space does not match the model")
-    if m.n_users != len(model.assignments):
-        raise ValueError("matrix user count does not match the model assignments")
+    """Member counts and mean member-to-centroid distance per cluster (NaN when empty).
+
+    The distances are the ones ``kmeans.sse`` sums, so scatter and SSE
+    describe the same rows.
+    """
     k = model.n_clusters
     a = model.assignments
+    dist = np.sqrt(_assigned_sq_dists(model, m))
     counts = np.bincount(a, minlength=k)
-
-    # Row-to-assigned-centroid distances in one pass: the dot of each sparse
-    # row with its centroid via a cumulative sum over the value array.
-    owner = np.repeat(np.arange(m.n_users), np.diff(m.indptr))
-    prod = m.values * model.centroids[a[owner], m.indices]
-    cum = np.concatenate([[0.0], np.cumsum(prod)])
-    dots = cum[m.indptr[1:]] - cum[m.indptr[:-1]]
-    d2 = _row_sq_norms(m) - 2.0 * dots + model.centroid_sq_norms[a]
-    dist = np.sqrt(np.maximum(d2, 0.0))
-
     scatter = np.full(k, np.nan)
     nonempty = counts > 0
     sums = np.bincount(a, weights=dist, minlength=k)
@@ -74,16 +65,6 @@ def _separation(cu: np.ndarray) -> np.ndarray:
     for c in cu.T:
         acc += (c[:, None] - c[None, :]) ** 2
     return np.sqrt(acc)
-
-
-def cluster_scatter(model: ClusterModel, m: RatingMatrix, j: int) -> float:
-    """Mean Euclidean distance of cluster j's members to its centroid."""
-    if not 0 <= j < model.n_clusters:
-        raise ValueError(f"cluster index {j} out of range [0, {model.n_clusters})")
-    counts, scatter = _scatters(model, m)
-    if counts[j] == 0:
-        raise DegenerateModelError(f"cluster {j} is empty")
-    return float(scatter[j])
 
 
 def davies_bouldin(model: ClusterModel, m: RatingMatrix) -> ClusterQuality:
@@ -119,14 +100,3 @@ def davies_bouldin(model: ClusterModel, m: RatingMatrix) -> ClusterQuality:
         db_index=db_index,
         db_signed=-db_index,
     )
-
-
-def per_cluster_quality(model: ClusterModel, m: RatingMatrix, j: int) -> float:
-    """Signed single-cluster quality: −D_j for the cluster a user lands in."""
-    if not 0 <= j < model.n_clusters:
-        raise ValueError(f"cluster index {j} out of range [0, {model.n_clusters})")
-    q = davies_bouldin(model, m)
-    term = q.per_cluster_db_term[j]
-    if np.isnan(term):
-        raise DegenerateModelError(f"cluster {j} is empty")
-    return float(-term)

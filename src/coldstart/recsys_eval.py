@@ -6,11 +6,11 @@ items, and records mean NDCG and MAP per coefficient. Holdout and pool are
 drawn once from the eval seed, so every coefficient is scored on identical
 splits and the whole sweep is reproducible.
 
-Each fit gets one items x clusters table of mean ratings (two
-``np.bincount`` calls over the training columns); a candidate's score is one
-lookup in it. Users are ranked in blocks of ``_RANK_BLOCK``, which bounds the
-sort's memory: a block pads its candidate lists into one array and sorts each
-row by (-score, item). AP sums in rank order and NDCG calls ``ndcg_at_n`` per
+Each fit gets one items x clusters table of mean ratings (``np.bincount``
+calls over the training columns); a candidate's score is one lookup in it.
+Users are ranked in blocks of ``_RANK_BLOCK``, which bounds the sort's
+memory: a block pads its candidate lists into one array and sorts each row
+by (-score, item). AP sums in rank order and NDCG calls ``ndcg_at_n`` per
 row, so both keep the bits of the per-user definitions.
 """
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingMatrix
+from .dataset import RatingMatrix, segment_ids, segment_sums
 from .kmeans import ClusterModel, KMeansConfig, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
@@ -136,10 +136,11 @@ def _score_table(
     """
     n_items = len(col_ptr) - 1
     n_raters = np.diff(col_ptr)
-    item_total = np.diff(np.concatenate([[0.0], np.cumsum(vals)])[col_ptr])
-    item_mean = np.where(n_raters > 0, item_total / np.maximum(n_raters, 1), FALLBACK_SCORE)
     # In place where possible: the table's peak memory is the sweep's peak.
-    bins = np.repeat(np.arange(n_items, dtype=np.int64) * k, n_raters)
+    bins = segment_ids(col_ptr)
+    item_total = segment_sums(bins, vals, n_items)
+    item_mean = np.where(n_raters > 0, item_total / np.maximum(n_raters, 1), FALLBACK_SCORE)
+    bins *= k
     bins += labels[raters]
     cnt = np.bincount(bins, minlength=n_items * k).reshape(n_items, k)
     table = np.bincount(bins, weights=vals, minlength=n_items * k).reshape(n_items, k)

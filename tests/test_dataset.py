@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import warnings
 from unittest import mock
 
@@ -10,26 +11,27 @@ from hypothesis import given, settings, strategies as st
 
 from coldstart import dataset as ds
 from coldstart.errors import EmptyResultError, ParseError, RatingRangeError
+from conftest import matrix_from_dense
 
 
 # ---------------------------------------------------------------- normalization
 
 def test_identity_scheme_endpoints():
-    assert ds.normalize_rating(1.0, ds.IDENTITY_1_TO_5) == 1.0
-    assert ds.normalize_rating(5.0, ds.IDENTITY_1_TO_5) == 5.0
-    assert ds.normalize_rating(3.0, ds.IDENTITY_1_TO_5) == 3.0
+    assert ds.IDENTITY_1_TO_5.normalize(1.0) == 1.0
+    assert ds.IDENTITY_1_TO_5.normalize(5.0) == 5.0
+    assert ds.IDENTITY_1_TO_5.normalize(3.0) == 3.0
 
 
 def test_jester_affine_endpoints():
-    assert ds.normalize_rating(-10.0, ds.JESTER_AFFINE) == 1.0
-    assert ds.normalize_rating(10.0, ds.JESTER_AFFINE) == 5.0
-    assert ds.normalize_rating(0.0, ds.JESTER_AFFINE) == pytest.approx(3.0)
+    assert ds.JESTER_AFFINE.normalize(-10.0) == 1.0
+    assert ds.JESTER_AFFINE.normalize(10.0) == 5.0
+    assert ds.JESTER_AFFINE.normalize(0.0) == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("raw", [-10.001, 10.001, 99.0])
 def test_jester_affine_out_of_range(raw):
     with pytest.raises(RatingRangeError):
-        ds.normalize_rating(raw, ds.JESTER_AFFINE)
+        ds.JESTER_AFFINE.normalize(raw)
 
 
 @given(
@@ -40,8 +42,8 @@ def test_jester_affine_out_of_range(raw):
 )
 def test_jester_affine_monotone_into_target(pair):
     a, b = sorted(pair)
-    fa = ds.normalize_rating(a, ds.JESTER_AFFINE)
-    fb = ds.normalize_rating(b, ds.JESTER_AFFINE)
+    fa = ds.JESTER_AFFINE.normalize(a)
+    fb = ds.JESTER_AFFINE.normalize(b)
     assert 1.0 <= fa <= fb <= 5.0
     if b - a > 1e-9:  # strict once the gap is resolvable in float
         assert fb > fa
@@ -211,6 +213,63 @@ def test_sample_users_reproducible(mk_matrix):
     assert set(c) <= {1, 3, 5, 7, 9, 11}
     with pytest.raises(ValueError):
         ds.sample_users(m, 31, seed=0)
+
+
+# ---------------------------------------------------------------- digest
+
+def test_content_digest_covers_timestamps_ids_and_item_count():
+    m = matrix_from_dense([[1.0, np.nan], [2.0, 3.0]], timestamps=[[10, 0], [20, 30]])
+    variants = {
+        "reversed timestamps": dataclasses.replace(m, timestamps=m.timestamps[::-1].copy()),
+        "no timestamps": dataclasses.replace(m, timestamps=None),
+        "other user ids": dataclasses.replace(m, user_ids=m.user_ids + 100),
+        "other item ids": dataclasses.replace(m, item_ids=m.item_ids + 100),
+        "an unrated item more": dataclasses.replace(
+            m, n_items=3, item_ids=np.arange(3, dtype=np.int64)
+        ),
+    }
+    variants["both"] = dataclasses.replace(
+        variants["reversed timestamps"], user_ids=m.user_ids + 100
+    )
+    digests = {name: v.content_digest() for name, v in variants.items()}
+    assert m.content_digest() == dataclasses.replace(m).content_digest()
+    assert len({m.content_digest(), *digests.values()}) == 1 + len(variants), digests
+
+
+# ---------------------------------------------------------------- segment sums
+
+@st.composite
+def _segments(draw):
+    """Rows of half-point values (exact squares and sums) or two-decimal Jester values.
+
+    The rows are framed by empty ones, and hypothesis puts empty and
+    one-rating rows anywhere between.
+    """
+    denom = draw(st.sampled_from([2.0, 100.0]))
+    value = st.integers(-1000, 1000).map(lambda v: v / 100.0) if denom == 100.0 else (
+        st.integers(-20, 20).map(lambda v: v / 2.0)
+    )
+    rows = draw(st.lists(st.lists(value, max_size=12), max_size=20))
+    return denom, [[], *rows, []]
+
+
+@given(_segments(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_segment_sums_match_fsum(case, squared):
+    denom, rows = case
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    weights = np.array([v for r in rows for v in r], dtype=np.float64)
+    if squared:
+        weights = weights * weights
+    got = ds.segment_sums(ds.segment_ids(indptr), weights, len(rows))
+    assert got.dtype == np.float64 and got.shape == (len(rows),)
+    for r, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
+        terms = weights[lo:hi]
+        exact = math.fsum(terms)
+        if denom == 2.0:  # quarter-point squares and half-point values add exactly
+            assert got[r] == exact
+        else:  # a sum of n terms in order errs by under (n - 1) u sum|terms|
+            assert abs(got[r] - exact) <= len(terms) * math.ulp(math.fsum(np.abs(terms)))
 
 
 # ---------------------------------------------------------------- prefixes

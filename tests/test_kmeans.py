@@ -5,8 +5,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy import sparse
 
+import kmeans_oracle as oracle
 from coldstart import kmeans as km
-from coldstart.dataset import IDENTITY_1_TO_5, RatingMatrix
+from coldstart.dataset import BY_ITEM_INDEX, IDENTITY_1_TO_5, RatingMatrix
+from coldstart.experiment import prefix_replay
 
 
 # ---------------------------------------------------------------- cluster-count rule
@@ -31,41 +33,6 @@ def test_n_clusters_from_coeff_rejects_nonpositive():
         km.n_clusters_from_coeff(0, 10)
     with pytest.raises(ValueError):
         km.n_clusters_from_coeff(10, 0)
-
-
-# ---------------------------------------------------------------- distances
-
-def test_sq_euclidean_hand_case():
-    # rated dims contribute (v - c)^2, unrated contribute c^2
-    row = (np.array([0, 2]), np.array([4.0, 1.0]))
-    centroid = np.array([2.0, 2.0, 1.0])
-    assert km.sq_euclidean(row, centroid) == pytest.approx(4.0 + 4.0 + 0.0)
-
-
-def test_sq_euclidean_empty_row_is_centroid_norm():
-    row = (np.array([], dtype=int), np.array([]))
-    centroid = np.array([3.0, 4.0])
-    assert km.sq_euclidean(row, centroid) == pytest.approx(25.0)
-
-
-def test_sq_euclidean_index_bounds():
-    with pytest.raises(ValueError):
-        km.sq_euclidean((np.array([5]), np.array([1.0])), np.array([1.0, 2.0]))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_sq_euclidean_matches_dense_zero_fill(seed):
-    rng = np.random.default_rng(seed)
-    d = rng.integers(1, 12)
-    mask = rng.random(d) < 0.6
-    idx = np.flatnonzero(mask)
-    vals = rng.normal(0, 3, idx.size)
-    centroid = rng.normal(0, 3, d)
-    dense = np.zeros(d)
-    dense[idx] = vals
-    expect = float(((dense - centroid) ** 2).sum())
-    assert km.sq_euclidean((idx, vals), centroid) == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------- fit on toy data
@@ -388,6 +355,42 @@ def test_dense_fit_matches_csr_oracle(seed, init):
         assert a == pytest.approx(b, rel=1e-12, abs=tol)
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_load_model_labels_match_the_replay_final(tmp_path_factory, seed):
+    rng, dense, X, xnorms = _rows_case(seed)
+    m = _matrix_of(X)
+    k = int(rng.integers(1, 30))
+    centroids = np.concatenate([
+        rng.integers(-20, 21, (k, dense.shape[1])) / 2.0,  # grid points: exact ties
+        dense[rng.integers(0, len(dense), 3)],  # centroids on rows
+    ])
+    centroids[rng.integers(0, len(centroids))] = centroids[0]  # a duplicate
+    model = km.ClusterModel(
+        centroids=centroids, assignments=np.zeros(m.n_users, dtype=np.int64),
+        sse=0.0, config_fingerprint="saved",
+    )
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    km.save_model(model, path)
+    loaded = km.load_model(path, m)
+    final = prefix_replay(loaded, m, np.arange(m.n_users), 1, BY_ITEM_INDEX).final
+    # Both take each row's norm as the same row-order sum: squares added to
+    # 0.0 one by one, as the replay adds them. The CSR kernel also sums the
+    # dots in row order, as the replay does; BLAS may not.
+    row_order = []
+    for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+        total = 0.0
+        for v in m.values[lo:hi].tolist():
+            total += v * v
+        row_order.append(total)
+    assert xnorms.tolist() == row_order
+    differ = loaded.assignments != final
+    if loaded.kernel == "csr":
+        assert not differ.any()
+    assert not (differ & ~_near_ties(X, xnorms, centroids)).any()
+    event(f"{loaded.kernel} kernel, near-tie label differences: {int(differ.sum())}")
+
+
 def _threads_case():
     """3,000 x 60, about 66 % rated: dense, and large enough for OpenBLAS to start threads."""
     rng = np.random.default_rng(21)
@@ -434,6 +437,50 @@ def test_fit_holds_blas_to_one_thread_and_restores_it(monkeypatch):
 
 # ---------------------------------------------------------------- assignment
 
+def _one_centroid(centroid):
+    return km.ClusterModel(
+        centroids=np.asarray([centroid], dtype=np.float64),
+        assignments=np.zeros(1, dtype=np.int64),
+        sse=0.0,
+        config_fingerprint="one",
+    )
+
+
+def test_assign_distance_hand_case():
+    # rated dims contribute (v - c)^2, unrated contribute c^2
+    row = (np.array([0, 2]), np.array([4.0, 1.0]))
+    assert km.assign(_one_centroid([2.0, 2.0, 1.0]), row) == (0, 4.0 + 4.0 + 0.0)
+
+
+def test_assign_empty_row_is_centroid_norm():
+    row = (np.array([], dtype=int), np.array([]))
+    assert km.assign(_one_centroid([3.0, 4.0]), row) == (0, 25.0)
+
+
+@pytest.mark.parametrize("index", [2, 5, -1])
+def test_assign_index_bounds(index):
+    with pytest.raises(ValueError, match="index space"):
+        km.assign(_one_centroid([1.0, 2.0]), (np.array([index]), np.array([1.0])))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_assign_matches_dense_zero_fill(seed):
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 12)
+    mask = rng.random(d) < 0.6
+    idx = np.flatnonzero(mask)
+    vals = rng.normal(0, 3, idx.size)
+    centroid = rng.normal(0, 3, d)
+    dense = np.zeros(d)
+    dense[idx] = vals
+    expect = float(((dense - centroid) ** 2).sum())
+    assert oracle.sq_euclidean((idx, vals), centroid) == pytest.approx(expect, abs=1e-12)
+    _, dist = km.assign(_one_centroid(centroid), (idx, vals))
+    # the expansion cancels the two squared norms, so it errs by their rounding
+    assert dist == pytest.approx(expect, abs=1e-14 * (vals @ vals + centroid @ centroid))
+
+
 def test_assign_returns_exact_distance(mk_matrix):
     m = _toy_matrix(mk_matrix, [[0.0], [1.0], [10.0], [11.0]])
     model = km.fit(m, km.KMeansConfig(n_clusters=2, seed=0))
@@ -472,7 +519,7 @@ def test_assign_is_argmin_of_sq_euclidean(seed):
     idx = np.flatnonzero(mask)
     row = (idx, rng.normal(0, 2, idx.size))
     label, dist = km.assign(model, row)
-    dists = np.array([km.sq_euclidean(row, c) for c in centroids])
+    dists = np.array([oracle.sq_euclidean(row, c) for c in centroids])
     assert label == int(np.argmin(dists))
     assert dist == pytest.approx(dists[label], abs=1e-9)
 

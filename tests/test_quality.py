@@ -59,31 +59,36 @@ def brute_force_db(centroids, labels, dense):
 def test_scatter_hand_case(mk_matrix):
     m = mk_matrix([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [10.0, 4.0]])
     model = _model([[1.0, 0.0], [10.0, 2.0]], [0, 0, 1, 1])
-    assert q.cluster_scatter(model, m, 0) == pytest.approx(1.0)
-    assert q.cluster_scatter(model, m, 1) == pytest.approx(2.0)
     res = q.davies_bouldin(model, m)
+    np.testing.assert_allclose(res.per_cluster_scatter, [1.0, 2.0])
     # single pair: (1 + 2) / sqrt(81 + 4)
     expect = 3.0 / np.sqrt(85.0)
     assert res.db_index == pytest.approx(expect)
     assert res.db_signed == pytest.approx(-expect)
     np.testing.assert_allclose(res.per_cluster_db_term, [expect, expect])
-    assert q.per_cluster_quality(model, m, 0) == pytest.approx(-expect)
 
 
 def test_scatter_uses_zero_fill(mk_matrix):
     # the unrated dim counts as 0, so the member is sqrt(1 + 4) away
-    m = mk_matrix([[1.0, np.nan]])
-    model = _model([[0.0, 2.0]], [0])
-    assert q.cluster_scatter(model, m, 0) == pytest.approx(np.sqrt(5.0))
+    m = mk_matrix([[1.0, np.nan], [9.0, 9.0]])
+    model = _model([[0.0, 2.0], [9.0, 9.0]], [0, 1])
+    assert q.davies_bouldin(model, m).per_cluster_scatter[0] == pytest.approx(np.sqrt(5.0))
 
 
-def test_scatter_index_and_empty(mk_matrix):
-    m = mk_matrix([[1.0], [2.0]])
+def test_scatter_of_empty_cluster_is_nan(mk_matrix):
+    m = mk_matrix([[1.0], [2.0], [9.0]])
+    model = _model([[1.5], [40.0], [9.0]], [0, 0, 2])
+    scatter = q.davies_bouldin(model, m).per_cluster_scatter
+    assert np.isnan(scatter[1])
+    np.testing.assert_allclose(scatter[[0, 2]], [0.5, 0.0])
+
+
+def test_scatter_rejects_a_mismatched_matrix(mk_matrix):
     model = _model([[1.5], [40.0]], [0, 0])
-    with pytest.raises(ValueError):
-        q.cluster_scatter(model, m, 2)
-    with pytest.raises(DegenerateModelError):
-        q.cluster_scatter(model, m, 1)
+    with pytest.raises(ValueError, match="item space"):
+        q.davies_bouldin(model, mk_matrix([[1.0, 2.0], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="user count"):
+        q.davies_bouldin(model, mk_matrix([[1.0], [2.0], [3.0]]))
 
 
 # ---------------------------------------------------------------- oracle sweep
@@ -119,8 +124,6 @@ def test_empty_cluster_term_is_nan(mk_matrix):
     res = q.davies_bouldin(model, m)
     assert np.isnan(res.per_cluster_db_term[2])
     assert not np.isnan(res.per_cluster_db_term[0])
-    with pytest.raises(DegenerateModelError):
-        q.per_cluster_quality(model, m, 2)
 
 
 # ---------------------------------------------------------------- degenerate models
