@@ -13,7 +13,6 @@ from .dataset import (
     JESTER_AFFINE,
     NormalizationScheme,
     PrefixOrdering,
-    RatingEvent,
     RatingEvents,
     RatingMatrix,
     build_matrix,
@@ -60,7 +59,6 @@ from .recsys_eval import (
     SweepRow,
     average_precision,
     ndcg_at_n,
-    predict_score,
     sweep_coefficient,
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "ParseError",
     "PrefixOrdering",
     "QualityCurve",
-    "RatingEvent",
     "RatingEvents",
     "RatingMatrix",
     "RatingRangeError",
@@ -106,7 +103,6 @@ __all__ = [
     "ndcg_at_n",
     "parse_jester",
     "parse_movielens",
-    "predict_score",
     "quality_curve",
     "regression_intersection",
     "sample_users",

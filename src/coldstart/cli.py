@@ -60,7 +60,6 @@ class RunConfig:
     kmeans_restarts: int = 10
     kmeans_max_steps: int = 100
     kmeans_conv_tol: float = 1e-6
-    kmeans_init: str = "kmeanspp"
     eval_holdout: int = 10
     eval_pool: int = 100
     eval_relevance_threshold: float = 4.0
@@ -116,7 +115,6 @@ _KMEANS_KEYS = {
     "kmeans_restarts": "restarts",
     "kmeans_max_steps": "max_steps",
     "kmeans_conv_tol": "conv_tol",
-    "kmeans_init": "init",
 }
 _EVAL_KEYS = {
     "eval_holdout": "holdout_per_user",
@@ -141,7 +139,6 @@ _CONFIG_KEYS = {
     "kmeans_restarts": int,
     "kmeans_max_steps": int,
     "kmeans_conv_tol": float,
-    "kmeans_init": str,
     "eval_holdout": int,
     "eval_pool": int,
     "eval_relevance_threshold": float,

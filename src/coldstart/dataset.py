@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -70,29 +70,13 @@ IDENTITY_1_TO_5 = NormalizationScheme("identity_1_to_5", 1.0, 5.0)
 JESTER_AFFINE = NormalizationScheme("jester_affine", -10.0, 10.0)
 
 
-@dataclass(frozen=True)
-class RatingEvent:
-    """One explicit rating with the value already normalized into [1, 5]."""
-
-    user_id: int
-    item_id: int
-    value: float
-    timestamp: int | None = None
-
-    def __post_init__(self):
-        if self.user_id < 0 or self.item_id < 0:
-            raise ValueError(f"negative id in {self!r}")
-        if not (TARGET_MIN <= self.value <= TARGET_MAX):
-            raise RatingRangeError(f"normalized value {self.value!r} outside [1, 5]")
-
-
 @dataclass(frozen=True, eq=False)
 class RatingEvents:
     """Rating events as parallel columns, in arrival order.
 
-    ``parse_movielens`` returns this and ``build_matrix`` reads its arrays
-    directly. Indexing and iteration give ``RatingEvent`` objects, so it reads
-    like a list of events. ``timestamps`` is None when the events carry none.
+    ``parse_movielens`` returns this and ``build_matrix`` reads its arrays.
+    ``timestamps`` is None when the events carry none. Ids must be
+    non-negative and values already on the [1, 5] scale.
     """
 
     user_ids: np.ndarray
@@ -100,38 +84,17 @@ class RatingEvents:
     values: np.ndarray
     timestamps: np.ndarray | None = None
 
-    @classmethod
-    def from_events(cls, events: Iterable[RatingEvent]) -> "RatingEvents":
-        events = list(events)
-        has_ts = [e.timestamp is not None for e in events]
-        if all(has_ts):
-            tstamps = np.asarray([e.timestamp for e in events], dtype=np.int64)
-        elif not any(has_ts):
-            tstamps = None
-        else:
-            raise ValueError("events must either all carry timestamps or none")
-        return cls(
-            user_ids=np.asarray([e.user_id for e in events], dtype=np.int64),
-            item_ids=np.asarray([e.item_id for e in events], dtype=np.int64),
-            values=np.asarray([e.value for e in events], dtype=np.float64),
-            timestamps=tstamps,
-        )
+    def __post_init__(self):
+        if self.n_ratings and (self.user_ids.min() < 0 or self.item_ids.min() < 0):
+            raise ValueError("negative user or item id")
+        bad = IDENTITY_1_TO_5.out_of_range(self.values)
+        if bad.any():
+            first = float(self.values[bad][0])
+            raise RatingRangeError(f"normalized value {first!r} outside [1, 5]")
 
     @property
     def n_ratings(self) -> int:
         return int(self.values.shape[0])
-
-    def __len__(self) -> int:
-        return self.n_ratings
-
-    def __getitem__(self, i: int) -> RatingEvent:
-        ts = None if self.timestamps is None else int(self.timestamps[i])
-        return RatingEvent(
-            int(self.user_ids[i]), int(self.item_ids[i]), float(self.values[i]), ts
-        )
-
-    def __iter__(self) -> Iterator[RatingEvent]:
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -139,13 +102,10 @@ class PrefixOrdering:
     """Deterministic total order over one user's ratings; ties break by ascending item."""
 
     kind: str
-    tie_break: str = "item_ascending"
 
     def __post_init__(self):
         if self.kind not in ("by_timestamp", "by_item_index"):
             raise ValueError(f"unknown ordering kind {self.kind!r}")
-        if self.tie_break != "item_ascending":
-            raise ValueError(f"unsupported tie break {self.tie_break!r}")
 
 
 BY_TIMESTAMP = PrefixOrdering("by_timestamp")
@@ -386,19 +346,16 @@ def _detect_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
-def parse_jester(
-    source: str | Path | IO,
-    *,
-    delimiter: str | None = None,
-    strict_counts: bool = False,
-) -> RatingMatrix:
+def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> RatingMatrix:
     """Parse a Jester-style rating grid into a sparse matrix.
 
     Every row carries a declared rating count followed by 100 rating cells
     (an optional leading user-id field is also accepted); cells equal to the
     99.0 sentinel are unrated and omitted from the sparse row, the rest are
-    mapped from [-10, 10] onto [1, 5]. A declared count that disagrees with
-    the observed count warns, or raises when ``strict_counts`` is set.
+    mapped from [-10, 10] onto [1, 5]. Fields are tab-separated when the
+    first non-blank line holds a tab, else comma-separated. A declared count
+    that disagrees with the observed count warns, or raises when
+    ``strict_counts`` is set.
     """
     width = 101
     user_ids, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -412,8 +369,7 @@ def parse_jester(
 
     for lines, line_nos in _line_blocks(source):
         if len(counts) == 1:  # the first non-blank line fixes the layout
-            if delimiter is None:
-                delimiter = _detect_delimiter(lines[0])
+            delimiter = _detect_delimiter(lines[0])
             width = len(lines[0].split(delimiter))
             if width not in (101, 102):
                 raise ParseError(
@@ -481,23 +437,14 @@ def parse_jester(
     return m
 
 
-def build_matrix(
-    events: RatingEvents | Iterable[RatingEvent],
-    dedup: str = "keep_last",
-    scheme: NormalizationScheme = IDENTITY_1_TO_5,
-) -> RatingMatrix:
-    """Assemble normalized events into a RatingMatrix.
+def build_matrix(events: RatingEvents) -> RatingMatrix:
+    """Assemble the ``RatingEvents`` that ``parse_movielens`` returns into a RatingMatrix.
 
-    ``events`` is the ``RatingEvents`` that ``parse_movielens`` returns, or any
-    iterable of ``RatingEvent``. Duplicate (user, item) pairs are resolved by
-    ``dedup``: "keep_last" (default, the later event wins), "keep_first", or
-    "error".
+    Users and items are numbered in ascending id order. A (user, item) pair
+    rated more than once keeps its last rating in arrival order. The values
+    are on the [1, 5] scale already, so the matrix carries ``IDENTITY_1_TO_5``.
     """
-    if dedup not in ("keep_last", "keep_first", "error"):
-        raise ValueError(f"unknown dedup policy {dedup!r}")
-    if not isinstance(events, RatingEvents):
-        events = RatingEvents.from_events(events)
-    if not len(events):
+    if not events.n_ratings:
         return RatingMatrix(
             n_users=0,
             n_items=0,
@@ -506,33 +453,22 @@ def build_matrix(
             values=np.zeros(0, dtype=np.float64),
             user_ids=np.zeros(0, dtype=np.int64),
             item_ids=np.zeros(0, dtype=np.int64),
-            scheme=scheme,
+            scheme=IDENTITY_1_TO_5,
         )
 
     users, items, vals, tstamps = events.user_ids, events.item_ids, events.values, events.timestamps
     user_ids, u_idx = np.unique(users, return_inverse=True)
     item_ids, i_idx = np.unique(items, return_inverse=True)
 
-    # Stable sort by (user, item, arrival); the arrival key makes the dedup
-    # policies a pure slice of each duplicate run.
-    arrival = np.arange(len(events))
-    order = np.lexsort((arrival, i_idx, u_idx))
+    # Sort by (user, item); np.lexsort is stable, so each run of a repeated
+    # pair stays in arrival order and its last entry is the one kept.
+    order = np.lexsort((i_idx, u_idx))
     u_idx, i_idx, vals = u_idx[order], i_idx[order], vals[order]
     if tstamps is not None:
         tstamps = tstamps[order]
 
-    new_pair = np.ones(len(events), dtype=bool)
-    new_pair[1:] = (np.diff(u_idx) != 0) | (np.diff(i_idx) != 0)
-    if dedup == "error" and not new_pair.all():
-        dup = np.flatnonzero(~new_pair)[0]
-        raise ValueError(
-            f"duplicate rating for user {user_ids[u_idx[dup]]}, item {item_ids[i_idx[dup]]}"
-        )
-    if dedup == "keep_first":
-        keep = new_pair
-    else:
-        keep = np.ones(len(events), dtype=bool)
-        keep[:-1] = new_pair[1:]  # last entry of each run
+    keep = np.ones(events.n_ratings, dtype=bool)
+    keep[:-1] = (np.diff(u_idx) != 0) | (np.diff(i_idx) != 0)
     u_idx, i_idx, vals = u_idx[keep], i_idx[keep], vals[keep]
     if tstamps is not None:
         tstamps = tstamps[keep]
@@ -549,7 +485,7 @@ def build_matrix(
         values=vals,
         user_ids=user_ids,
         item_ids=item_ids,
-        scheme=scheme,
+        scheme=IDENTITY_1_TO_5,
         timestamps=tstamps,
     )
     m.validate()

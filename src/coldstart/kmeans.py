@@ -61,7 +61,6 @@ class KMeansConfig:
     max_steps: int = 100
     conv_tol: float = 1e-6
     seed: int = 0
-    init: str = "kmeanspp"
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -72,8 +71,6 @@ class KMeansConfig:
             raise ValueError("max_steps must be >= 1")
         if not self.conv_tol > 0:
             raise ValueError("conv_tol must be > 0")
-        if self.init not in ("kmeanspp", "random_points"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 class RestartRecord(NamedTuple):
@@ -278,15 +275,9 @@ def _cluster_means(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _init_centroids(
-    X, xnorms: np.ndarray, k: int, rng: np.random.Generator, init: str
-) -> np.ndarray:
+def _init_centroids(X, xnorms: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: D^2 sampling against the nearest already-chosen center."""
     n, d = X.shape
-    if init == "random_points":
-        picks = rng.choice(n, size=k, replace=False)
-        return _dense_rows(X, picks)
-
-    # k-means++: D^2 sampling against the nearest already-chosen center.
     centroids = np.zeros((k, d))
     d2 = np.full(n, np.inf)  # to the nearest chosen center; the first pick is uniform
     for j in range(k):
@@ -354,14 +345,14 @@ def fit(
 ) -> ClusterModel:
     """Best-of-restarts k-means fit; deterministic for a fixed config and seed.
 
-    Restart r draws its initial centroids from seed + r; the run with the
-    lowest final SSE wins (ties go to the earlier restart). Within a run,
-    assignment and mean updates alternate until assignments stop changing,
-    the largest centroid displacement drops below `conv_tol`, or `max_steps`
-    is reached. Empty clusters are repaired by promoting the point farthest
-    from its centroid to a singleton cluster. Restarts run on up to `threads`
-    worker threads, each restart whole on one thread, so the result is the
-    same for any thread count.
+    Restart r draws its k-means++ initial centroids from seed + r; the run
+    with the lowest final SSE wins (ties go to the earlier restart). Within a
+    run, assignment and mean updates alternate until assignments stop
+    changing, the largest centroid displacement drops below `conv_tol`, or
+    `max_steps` is reached. Empty clusters are repaired by promoting the
+    point farthest from its centroid to a singleton cluster. Restarts run on
+    up to `threads` worker threads, each restart whole on one thread, so the
+    result is the same for any thread count.
     """
     if m.n_users < 1:
         raise ValueError("cannot fit on an empty matrix")
@@ -373,7 +364,7 @@ def fit(
 
     def run(r: int):
         rng = np.random.default_rng(cfg.seed + r)
-        centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng, cfg.init)
+        centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng)
         return _lloyd(X, m, xnorms, centroids0, cfg)
 
     # Results arrive in restart order; each is dropped once compared, so only
@@ -411,13 +402,16 @@ def assign(
     """Nearest centroid for one sparse (item indices, values) row and its squared distance.
 
     Unrated items count as 0.0, as in ``fit``, and ties go to the lowest
-    cluster index.
+    cluster index. The item indices must strictly increase, as within a
+    ``RatingMatrix`` row.
     """
     indices, values = row
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if len(indices) and (indices.min() < 0 or indices.max() >= model.n_items):
         raise ValueError("row index space does not match the model")
+    if np.any(np.diff(indices) <= 0):
+        raise ValueError("item indices must be strictly increasing")
     x = np.zeros((1, model.n_items))
     x[0, indices] = values
     xnorm = segment_sums(np.zeros(len(values), dtype=np.intp), values * values, 1)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RatingMatrix, segment_ids, segment_sums
-from .kmeans import ClusterModel, KMeansConfig, fit, n_clusters_from_coeff
+from .kmeans import KMeansConfig, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
 
@@ -99,29 +99,6 @@ def average_precision(ranked_items, relevant) -> float:
             hits += 1
             total += hits / pos
     return total / len(relevant)
-
-
-def predict_score(model: ClusterModel, m: RatingMatrix, user: int, item: int) -> float:
-    """Mean rating of `item` among `user`'s cluster co-members who rated it.
-
-    Falls back to the mean rating of the item among the other users, then to
-    the scale midpoint. The user's own rating never enters the score.
-    """
-    if not 0 <= user < m.n_users:
-        raise ValueError(f"user index {user} out of range [0, {m.n_users})")
-    if not 0 <= item < m.n_items:
-        raise ValueError(f"item index {item} out of range [0, {m.n_items})")
-    pos = np.flatnonzero(m.indices == item)
-    raters = np.searchsorted(m.indptr, pos, side="right") - 1
-    others = raters != user
-    table = _score_table(
-        np.array([0, np.count_nonzero(others)]),
-        raters[others],
-        m.values[pos[others]],
-        model.assignments,
-        len(model.centroids),
-    )
-    return float(table[0, model.assignments[user]])
 
 
 def _score_table(

@@ -1,10 +1,12 @@
-"""Line-by-line reference versions of the dataset parsers and the canonical export, and ``prefix``.
+"""Line-by-line reference versions of the parsers, ``build_matrix``, the export and ``prefix``.
 
 These are the per-rating Python implementations that ``coldstart.dataset``
-replaced with array code. The differential tests hold the array versions to
-them: the same matrix and warnings, or the same exception, message and line
-number. One deliberate difference is folded in: a user id or declared count
-of ``inf`` in a Jester grid is a ``ParseError`` here, where the original let
+replaced with array code. The MovieLens parser here returns one ``Event``
+per line, and ``build_matrix`` assembles those events with a dict. The
+differential tests hold the array versions to them: the same columns,
+matrix and warnings, or the same exception, message and line number. One
+deliberate difference is folded in: a user id or declared count of ``inf``
+in a Jester grid is a ``ParseError`` here, where the original let
 ``int(float("inf"))``'s OverflowError escape.
 
 The array parsers follow ``np.loadtxt`` where it and Python's ``int()`` and
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import defaultdict
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from coldstart.dataset import (
     JESTER_SENTINEL,
     NormalizationScheme,
     PrefixOrdering,
-    RatingEvent,
     RatingMatrix,
     _SENTINEL_TOL,
     _iter_lines,
@@ -52,13 +54,22 @@ def _normalize(raw: float, scheme: NormalizationScheme) -> float:
     return (raw - scheme.source_min) / span * (5.0 - 1.0) + 1.0
 
 
-def parse_movielens(source: str | Path | IO) -> list[RatingEvent]:
+class Event(NamedTuple):
+    """One parsed MovieLens line."""
+
+    user_id: int
+    item_id: int
+    value: float
+    timestamp: int
+
+
+def parse_movielens(source: str | Path | IO) -> list[Event]:
     """Parse ``user::item::rating::timestamp`` lines into rating events.
 
     Ratings must lie in [1, 5] and pass through unchanged. Blank lines are
     ignored; anything else malformed raises ParseError with its line number.
     """
-    events: list[RatingEvent] = []
+    events: list[Event] = []
     for line_no, line in enumerate(_iter_lines(source), start=1):
         line = line.strip()
         if not line:
@@ -79,20 +90,46 @@ def parse_movielens(source: str | Path | IO) -> list[RatingEvent]:
             value = _normalize(raw, IDENTITY_1_TO_5)
         except RatingRangeError as e:
             raise RatingRangeError(str(e), line_no) from None
-        events.append(RatingEvent(user, item, value, ts))
+        events.append(Event(user, item, value, ts))
     return events
+
+
+def build_matrix(events: list[Event]) -> RatingMatrix:
+    """Assemble events into a matrix: ids in ascending order, the last rating of a pair kept."""
+    last = {(e.user_id, e.item_id): e for e in events}
+    rows = defaultdict(list)
+    for (user, item), e in last.items():
+        rows[user].append(e)
+    user_ids = sorted(rows)
+    item_ids = sorted({item for _, item in last})
+    column = {item: j for j, item in enumerate(item_ids)}
+    indptr, indices, values, timestamps = [0], [], [], []
+    for user in user_ids:
+        for e in sorted(rows[user], key=lambda e: e.item_id):
+            indices.append(column[e.item_id])
+            values.append(e.value)
+            timestamps.append(e.timestamp)
+        indptr.append(len(values))
+    m = RatingMatrix(
+        n_users=len(user_ids),
+        n_items=len(item_ids),
+        indptr=np.asarray(indptr, dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.int32),
+        values=np.asarray(values, dtype=np.float64),
+        user_ids=np.asarray(user_ids, dtype=np.int64),
+        item_ids=np.asarray(item_ids, dtype=np.int64),
+        scheme=IDENTITY_1_TO_5,
+        timestamps=np.asarray(timestamps, dtype=np.int64) if events else None,
+    )
+    m.validate()
+    return m
 
 
 def _detect_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
-def parse_jester(
-    source: str | Path | IO,
-    *,
-    delimiter: str | None = None,
-    strict_counts: bool = False,
-) -> RatingMatrix:
+def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> RatingMatrix:
     """Parse a Jester-style rating grid into a sparse matrix.
 
     Every row carries a declared rating count followed by 100 rating cells
@@ -105,6 +142,7 @@ def parse_jester(
     indices: list[int] = []
     values: list[float] = []
     user_ids: list[int] = []
+    delimiter: str | None = None
     expected_fields: int | None = None
 
     for line_no, line in enumerate(_iter_lines(source), start=1):

@@ -14,7 +14,7 @@ import pytest
 
 from coldstart import cli
 from coldstart import kmeans as km
-from test_cli import _write_jester
+from test_cli import _write_jester, _write_movielens
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,6 +50,42 @@ def test_benchmark_checks_pass_on_a_traced_jester_pipeline(bench, tmp_path):
         "experiment.detect_breakpoint", "experiment.intersection",
     } <= traced, traced
     assert not any("error" in s for s in tracer.spans)
+
+    log = checks.CheckLog()
+    checks.check_outputs(log, w, out, checks.load_matrix(w, corpus))
+    assert log.attempted > 0
+    assert log.failed == 0, log.failures
+
+
+def test_benchmark_checks_pass_on_a_traced_movielens_pipeline(bench, tmp_path):
+    checks, tracing, workloads = bench
+    corpus = tmp_path / "ratings.dat"
+    _write_movielens(corpus)
+    # The movielens-sweep workload, with flags and coefficients sized for a
+    # 40-user corpus whose users hold 5-12 ratings.
+    w = dataclasses.replace(
+        workloads.WORKLOADS["movielens-sweep"],
+        flags=("--k-coeff", "10", "--min-ratings", "6", "--sample", "10",
+               "--t-max", "12", "--seed", "0", "--threads", "2"),
+        coeffs="10,20",
+        config=(*workloads.WORKLOADS["movielens-sweep"].config, "eval_holdout = 3"),
+    )
+    config = tmp_path / "bench.config"
+    config.write_text("\n".join(w.config) + "\n")
+    out = tmp_path / "out"
+    tracer = tracing.Tracer(w.name, 0)
+    with tracer.layers_traced():
+        rc = cli.main(w.argv("pipeline", corpus, out, config))
+    assert checks.exit_ok("pipeline", rc, out), rc
+    traced = {s["name"] for s in tracer.spans}
+    assert {
+        "dataset.parse", "dataset.build_matrix", "kmeans.fit", "recsys_eval.sweep",
+        "experiment.split_by_min_count", "experiment.success_curve",
+    } <= traced, traced
+    assert not any("error" in s for s in tracer.spans)
+    # Both sweep coefficients fit through the name the benchmark wraps in recsys_eval.
+    sweeps = [s["id"] for s in tracer.spans if s["name"] == "recsys_eval.sweep"]
+    assert sum(s["name"] == "kmeans.fit" and s["parent"] in sweeps for s in tracer.spans) == 2
 
     log = checks.CheckLog()
     checks.check_outputs(log, w, out, checks.load_matrix(w, corpus))

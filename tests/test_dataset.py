@@ -62,8 +62,11 @@ ML_SAMPLE = """\
 
 def test_parse_movielens_roundtrip():
     events = ds.parse_movielens(io.StringIO(ML_SAMPLE))
-    assert len(events) == 4
-    assert events[0] == ds.RatingEvent(3, 10, 4.0, 978300760)
+    assert events.n_ratings == 4
+    assert events.user_ids.tolist() == [3, 1, 1, 3]
+    assert events.item_ids.tolist() == [10, 10, 20, 20]
+    assert events.values.tolist() == [4.0, 5.0, 3.0, 1.0]
+    assert events.timestamps.tolist() == [978300760, 978302109, 978301968, 978300275]
     m = ds.build_matrix(events)
     assert m.n_users == 2 and m.n_items == 2
     assert m.user_ids.tolist() == [1, 3]
@@ -150,35 +153,38 @@ def test_parse_jester_bad_field_count():
 
 # ---------------------------------------------------------------- build_matrix
 
-def _ev(u, i, v, ts=None):
-    return ds.RatingEvent(u, i, v, ts)
+def _events(users, items, values, timestamps=None):
+    return ds.RatingEvents(
+        user_ids=np.asarray(users, dtype=np.int64),
+        item_ids=np.asarray(items, dtype=np.int64),
+        values=np.asarray(values, dtype=np.float64),
+        timestamps=None if timestamps is None else np.asarray(timestamps, dtype=np.int64),
+    )
 
 
 def test_build_matrix_dedup_keep_last():
-    m = ds.build_matrix([_ev(0, 0, 2.0), _ev(0, 0, 4.0)])
+    m = ds.build_matrix(_events([0, 0], [0, 0], [2.0, 4.0], [7, 5]))
     assert m.values.tolist() == [4.0]
+    assert m.timestamps.tolist() == [5]  # arrival order decides, not the timestamp
+    assert m.scheme is ds.IDENTITY_1_TO_5
 
 
-def test_build_matrix_dedup_keep_first():
-    m = ds.build_matrix([_ev(0, 0, 2.0), _ev(0, 0, 4.0)], dedup="keep_first")
-    assert m.values.tolist() == [2.0]
-
-
-def test_build_matrix_dedup_error():
-    with pytest.raises(ValueError, match="duplicate"):
-        ds.build_matrix([_ev(0, 0, 2.0), _ev(0, 0, 4.0)], dedup="error")
-    with pytest.raises(ValueError, match="dedup"):
-        ds.build_matrix([_ev(0, 0, 2.0)], dedup="bogus")
-
-
-def test_build_matrix_mixed_timestamps_rejected():
-    with pytest.raises(ValueError, match="timestamps"):
-        ds.build_matrix([_ev(0, 0, 2.0, 5), _ev(0, 1, 2.0)])
+@pytest.mark.parametrize(
+    "columns, error",
+    [
+        (([-1], [0], [3.0]), ValueError),
+        (([0], [-1], [3.0]), ValueError),
+        (([0, 1], [0, 0], [3.0, 5.5]), RatingRangeError),
+        (([0], [0], [np.nan]), RatingRangeError),
+    ],
+)
+def test_events_reject_negative_ids_and_values_off_the_scale(columns, error):
+    with pytest.raises(error):
+        _events(*columns)
 
 
 def test_build_matrix_rows_sorted_and_ids_compacted():
-    events = [_ev(9, 30, 1.0), _ev(9, 10, 2.0), _ev(4, 20, 3.0)]
-    m = ds.build_matrix(events)
+    m = ds.build_matrix(_events([9, 9, 4], [30, 10, 20], [1.0, 2.0, 3.0]))
     assert m.user_ids.tolist() == [4, 9]
     assert m.item_ids.tolist() == [10, 20, 30]
     idx, vals = m.row(1)
@@ -187,7 +193,7 @@ def test_build_matrix_rows_sorted_and_ids_compacted():
 
 
 def test_build_matrix_empty_is_empty():
-    m = ds.build_matrix([])
+    m = ds.build_matrix(_events([], [], []))
     assert m.n_users == 0 and m.n_ratings == 0
 
 
@@ -384,17 +390,12 @@ def _assert_same_movielens(text, block):
     if isinstance(want, Exception):
         _assert_same_error(got, want)
         return
-    assert len(got) == got.n_ratings == len(want)
-    assert list(got) == want
-    for dedup in ("keep_last", "keep_first", "error"):
-        try:
-            expected = ds.build_matrix(want, dedup=dedup)
-        except ValueError as e:
-            with pytest.raises(ValueError) as exc:
-                ds.build_matrix(got, dedup=dedup)
-            assert str(exc.value) == str(e)
-        else:
-            _assert_same_matrix(ds.build_matrix(got, dedup=dedup), expected)
+    assert got.n_ratings == len(want)
+    for name, field in zip(ds._EVENT_ROW.names, oracle.Event._fields):
+        column = np.asarray([getattr(e, field) for e in want], dtype=ds._EVENT_ROW[name])
+        x = getattr(got, name)
+        assert x.dtype == column.dtype and x.tobytes() == column.tobytes(), name
+    _assert_same_matrix(ds.build_matrix(got), oracle.build_matrix(want))
 
 
 _SENTINELS = ["99", "99.0", "99.00000000001"]
@@ -435,20 +436,16 @@ def jester_grids(draw):
             fields[0] = draw(st.sampled_from(["nan", "inf", "-inf", "x", ""]))
         lines.append(delimiter.join(fields))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline])), delimiter
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 _BLOCKS = st.sampled_from([1, 2, 3, None])  # lines per np.loadtxt call; None: the default
 
 
 @settings(max_examples=300, deadline=None)
-@given(jester_grids(), st.booleans(), st.booleans(), _BLOCKS)
-def test_parse_jester_matches_line_by_line_oracle(grid, strict_counts, explicit_delimiter, block):
-    text, delimiter = grid
-    kwargs = {"strict_counts": strict_counts}
-    if explicit_delimiter:
-        kwargs["delimiter"] = delimiter
-    _assert_same_jester(text, block, **kwargs)
+@given(jester_grids(), st.booleans(), _BLOCKS)
+def test_parse_jester_matches_line_by_line_oracle(text, strict_counts, block):
+    _assert_same_jester(text, block, strict_counts=strict_counts)
 
 
 def _grid_line(count, cells, sep=","):
@@ -563,16 +560,6 @@ def test_parse_movielens_names_line_of_number_numpy_rejects(field):
     with pytest.raises(ParseError, match="unparseable field") as exc:
         ds.parse_movielens(io.StringIO(f"1::2::3::4\n\n{field}::2::3::4\n"))
     assert exc.value.line_no == 3
-
-
-def test_movielens_events_read_like_a_list():
-    events = ds.parse_movielens(io.StringIO("5::7::2::10\n"))
-    assert isinstance(events, ds.RatingEvents)
-    assert len(events) == events.n_ratings == 1
-    assert list(events) == [ds.RatingEvent(5, 7, 2.0, 10)]
-    assert events[-1] == ds.RatingEvent(5, 7, 2.0, 10)
-    generated = ds.build_matrix(e for e in events)
-    _assert_same_matrix(generated, ds.build_matrix(events))
 
 
 # ---------------------------------------------------------------- export vs csv.writer

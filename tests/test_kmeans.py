@@ -315,14 +315,14 @@ def test_dense_assign_matches_csr_oracle(seed):
     )
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["kmeanspp", "random_points"]))
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_dense_fit_matches_csr_oracle(seed, init):
+def test_dense_fit_matches_csr_oracle(seed):
     rng, dense, X, xnorms = _rows_case(seed)
     m = _matrix_of(X)
     cfg = km.KMeansConfig(
         n_clusters=int(rng.integers(1, min(m.n_users, 12) + 1)),
-        restarts=2, max_steps=int(rng.integers(1, 12)), seed=seed % 1000, init=init,
+        restarts=2, max_steps=int(rng.integers(1, 12)), seed=seed % 1000,
     )
     real = km._assign_all
     differing = []
@@ -463,6 +463,14 @@ def test_assign_index_bounds(index):
         km.assign(_one_centroid([1.0, 2.0]), (np.array([index]), np.array([1.0])))
 
 
+@pytest.mark.parametrize("indices", [[0, 0], [1, 0]])
+def test_assign_rejects_indices_that_do_not_strictly_increase(indices):
+    # As a dense row, ([0, 0], [1.0, 2.0]) is (2, 0), at distance 1.0 from
+    # (1, 0); a norm summed over both values would report 2.0.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        km.assign(_one_centroid([1.0, 0.0]), (indices, [1.0, 2.0]))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_assign_matches_dense_zero_fill(seed):
@@ -565,7 +573,6 @@ def test_sse_recompute_matches_fit(mk_matrix):
         {"n_clusters": 2, "restarts": 0},
         {"n_clusters": 2, "max_steps": 0},
         {"n_clusters": 2, "conv_tol": -1.0},
-        {"n_clusters": 2, "init": "bogus"},
     ],
 )
 def test_kmeans_config_validation(kwargs):

@@ -99,43 +99,39 @@ def test_ap_ignores_order_after_last_relevant(seed):
     assert rv.average_precision(ranked[: last_hit + 1] + tail, relevant) == pytest.approx(base)
 
 
-# ---------------------------------------------------------------- score prediction
+# ---------------------------------------------------------------- score table
 
-def test_predict_score_fallback_chain(mk_matrix):
-    # users 0,1 share a cluster; user 2 is alone in the other
+def _score_table(m, labels, k):
+    csc = m.to_csr().tocsc()
+    return rv._score_table(csc.indptr, csc.indices, csc.data, np.asarray(labels), k)
+
+
+def test_score_table_fallback_chain(mk_matrix):
+    # users 0 and 3 in cluster 0, user 1 in cluster 1, user 2 in cluster 2
     m = mk_matrix(
         [
-            [np.nan, 2.0],
-            [4.0, np.nan],
-            [2.0, np.nan],
+            [5.0, np.nan, np.nan],
+            [2.0, 2.0, np.nan],
+            [np.nan, 5.0, np.nan],
+            [4.0, np.nan, np.nan],
         ]
     )
-    model = _model([[0.0, 0.0], [0.0, 0.0]], [0, 0, 1])
-    # co-member 1 rated item 0
-    assert rv.predict_score(model, m, 0, 0) == pytest.approx(4.0)
-    # no co-member of user 2 rated item 0 -> mean of the other users' ratings,
-    # 4.0 from user 1; user 2's own 2.0 stays out
-    assert rv.predict_score(model, m, 2, 0) == pytest.approx(4.0)
-    # item 1 for user 2: global mean of ratings present = 2.0
-    assert rv.predict_score(model, m, 2, 1) == pytest.approx(2.0)
-    # nobody rated anything like item 1 among co-members; user 1 gets global
-    assert rv.predict_score(model, m, 1, 1) == pytest.approx(2.0)
+    table = _score_table(m, [0, 1, 2, 0], 3)
+    # a cell some cluster member rated: the members' mean
+    assert table[0, 0] == pytest.approx(4.5)
+    assert table[0, 1] == table[1, 1] == 2.0
+    assert table[1, 2] == 5.0
+    # no member rated the item: the item's mean over every rater
+    assert table[0, 2] == pytest.approx(11.0 / 3.0)
+    assert table[1, 0] == pytest.approx(3.5)
+    # nobody rated the item: the constant
+    assert table[2].tolist() == [rv.FALLBACK_SCORE] * 3
 
 
-def test_predict_score_unrated_everywhere_uses_constant(mk_matrix):
-    m = mk_matrix([[np.nan, 1.0], [np.nan, 2.0]])
-    model = _model([[0.0, 0.0]], [0, 0])
-    assert rv.predict_score(model, m, 0, 0) == rv.FALLBACK_SCORE
-
-
-def test_predict_score_excludes_the_user(mk_matrix):
-    m = mk_matrix([[5.0], [1.0]])
-    model = _model([[0.0]], [0, 0])
-    # user 0's own 5.0 must not leak into their prediction
-    assert rv.predict_score(model, m, 0, 0) == pytest.approx(1.0)
-    # nor into the fallback: as the item's only rater, user 0 gets the midpoint
-    alone = _model([[0.0], [0.0]], [0, 1])
-    assert rv.predict_score(alone, mk_matrix([[5.0], [np.nan]]), 0, 0) == rv.FALLBACK_SCORE
+def test_score_table_without_ratings_is_the_constant(mk_matrix):
+    table = _score_table(mk_matrix(np.full((2, 3), np.nan)), [0, 1], 2)
+    assert table.dtype == np.float64
+    assert table.tolist() == [[rv.FALLBACK_SCORE] * 2] * 3
 
 
 # ---------------------------------------------------------------- the sweep
