@@ -46,14 +46,14 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     dataset: str = "movielens"
-    input_path: str | None = None
+    input: str | None = None
     k_coeff: int = 50
     min_ratings: int = 50
-    sample_size: int = 100
+    sample: int = 100
     seed: int = 0
     ordering: str = "auto"
     t_max: int = 100
-    output_dir: str = "coldstart_out"
+    out: str = "coldstart_out"
     threads: int = 1
     coeffs: tuple[int, ...] = ()
     breakpoint_method: str = xp.SEGMENTED_LINEAR
@@ -71,8 +71,12 @@ class RunConfig:
         if self.ordering not in ("auto", "by_timestamp", "by_item_index"):
             raise UsageError(f"unknown ordering {self.ordering!r}")
         for key in ("k_coeff", "min_ratings", "sample", "t_max"):
-            if getattr(self, _KEY_TO_FIELD.get(key, key)) < 1:
+            if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
+        if any(c < 1 for c in self.coeffs):
+            raise UsageError("coeffs: every coefficient must be >= 1")
         if self.threads < 0:
             raise UsageError("threads must be >= 0 (0 = auto)")
         if self.breakpoint_method not in (xp.SEGMENTED_LINEAR, xp.KNEEDLE, xp.EXP_TANGENT):
@@ -123,34 +127,6 @@ _EVAL_KEYS = {
     "eval_ndcg_cutoff": "ndcg_cutoff",
 }
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "input": str,
-    "k_coeff": int,
-    "min_ratings": int,
-    "sample": int,
-    "seed": int,
-    "ordering": str,
-    "t_max": int,
-    "out": str,
-    "threads": int,
-    "coeffs": str,
-    "breakpoint_method": str,
-    "kmeans_restarts": int,
-    "kmeans_max_steps": int,
-    "kmeans_conv_tol": float,
-    "eval_holdout": int,
-    "eval_pool": int,
-    "eval_relevance_threshold": float,
-    "eval_ndcg_cutoff": int,
-}
-
-_KEY_TO_FIELD = {
-    "input": "input_path",
-    "sample": "sample_size",
-    "out": "output_dir",
-}
-
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
     try:
@@ -159,8 +135,16 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         raise UsageError(f"coeffs must be a comma-separated integer list, not {text!r}")
 
 
+def _from_text(field: dataclasses.Field, text: str):
+    """A config value as its key's type: that of the field's default, `str` for `input`."""
+    if field.name == "coeffs":
+        return _parse_coeffs(text)
+    return text if field.default is None else type(field.default)(text)
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Flat `key = value` lines; blank lines and # comments skipped."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -174,10 +158,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise UsageError(f"{path}:{ln}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in fields:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            values[key] = _from_text(fields[key], val)
         except ValueError:
             raise UsageError(f"{path}:{ln}: bad value for {key}: {val!r}")
     return values
@@ -185,36 +169,25 @@ def parse_config_file(path: str | Path) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults <- config file <- explicit flags, in increasing precedence."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    merged = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for field in dataclasses.fields(RunConfig):
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            merged[key] = flag
-    fields = {}
-    for key, value in merged.items():
-        if key == "coeffs":
-            value = _parse_coeffs(value) if isinstance(value, str) else tuple(value)
-        fields[_KEY_TO_FIELD.get(key, key)] = value
+            merged[field.name] = _parse_coeffs(flag) if field.name == "coeffs" else flag
     try:
-        return RunConfig(**fields)
+        return RunConfig(**merged)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e))
 
 
 def write_resolved_config(cfg: RunConfig, out: Path) -> None:
     lines = []
-    for key in sorted(_CONFIG_KEYS):
-        field = _KEY_TO_FIELD.get(key, key)
-        value = getattr(cfg, field)
-        if value is None:
-            continue
+    for key in sorted(f.name for f in dataclasses.fields(cfg)):
+        value = getattr(cfg, key)
         if key == "coeffs":
-            if not value:
-                continue
-            value = ",".join(str(c) for c in value)
-        lines.append(f"{key} = {value}")
+            value = ",".join(str(c) for c in value) or None
+        if value is not None:
+            lines.append(f"{key} = {value}")
     (out / "resolved.config").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -229,9 +202,9 @@ def _update_summary(out: Path, fragment: dict) -> None:
 
 
 def _load_matrix(cfg: RunConfig) -> ds.RatingMatrix:
-    if not cfg.input_path:
+    if not cfg.input:
         raise UsageError("--input is required for this command")
-    path = Path(cfg.input_path)
+    path = Path(cfg.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
     if cfg.dataset == "jester":
@@ -250,7 +223,7 @@ def _curve_cohort(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
 
 def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
     eligible = _curve_cohort(cfg, m)
-    n = cfg.sample_size
+    n = cfg.sample
     if n > len(eligible):
         print(
             f"warning: sample {n} exceeds the {len(eligible)} eligible users; "
@@ -403,9 +376,9 @@ def _stages(command: str, cfg: RunConfig) -> tuple[str, ...]:
     if command == "pipeline":
         return ("ingest", "fit", *(("sweep",) if cfg.coeffs else ()), "curves", "threshold")
     if command == "threshold":
-        out = Path(cfg.output_dir)
+        out = Path(cfg.out)
         if not ((out / "success.csv").exists() and (out / "quality.csv").exists()):
-            if not cfg.input_path:
+            if not cfg.input:
                 raise UsageError(
                     f"curve CSVs not found in {out} and no --input given to compute them"
                 )
@@ -422,7 +395,7 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
     and the parse.
     """
     t0 = time.perf_counter()
-    out = Path(cfg.output_dir)
+    out = Path(cfg.out)
     if "sweep" in stages and not cfg.coeffs:
         raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
     if "curves" in stages and "fit" not in stages and not (out / "model.txt").exists():
@@ -432,6 +405,8 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         _sweep_users(cfg, m)
     if "curves" in stages:
         _curve_cohort(cfg, m)
+        if cfg.resolved_ordering() == ds.BY_TIMESTAMP and m.timestamps is None:
+            raise UsageError(f"ordering by_timestamp needs timestamps; {cfg.dataset} input has none")
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, out)
     for name in stages:

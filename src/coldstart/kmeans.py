@@ -263,10 +263,18 @@ def _repair_empty(
         dists[p] = 0.0
 
 
+def item_cluster_bins(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each stored rating's (item, cluster of its user) cell as ``item * k + label``.
+
+    Item-major, so a bincount over these bins adds each cell's members in
+    ascending row order, as a CSC column would.
+    """
+    return m.indices.astype(np.int64) * k + np.repeat(labels, np.diff(m.indptr))
+
+
 def _cluster_means(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
     d = m.n_items
-    # Item-major bins: each cell sums its members in ascending row order.
-    bins = m.indices.astype(np.int64) * k + np.repeat(labels, np.diff(m.indptr))
+    bins = item_cluster_bins(m, labels, k)
     # The (k, d) transpose is F-ordered like the sparse product it replaced;
     # the einsum centroid norms, and so the SSE, depend on that layout.
     sums = np.bincount(bins, weights=m.values, minlength=d * k).reshape(d, k).T
@@ -443,8 +451,7 @@ def save_model(model: ClusterModel, path: str | Path) -> None:
             f"{MODEL_FORMAT} {model.n_clusters} {model.n_items} "
             f"{model.seed} {model.sse:.17g}\n"
         )
-        for c in model.centroids:
-            fh.write(" ".join(f"{x:.17g}" for x in c) + "\n")
+        np.savetxt(fh, model.centroids, fmt="%.17g")
 
 
 def load_model(path: str | Path, m: RatingMatrix) -> ClusterModel:

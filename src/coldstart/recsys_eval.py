@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingMatrix, segment_ids, segment_sums
-from .kmeans import KMeansConfig, fit, n_clusters_from_coeff
+from .dataset import RatingMatrix, segment_sums
+from .kmeans import KMeansConfig, fit, item_cluster_bins, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
 
@@ -101,26 +101,20 @@ def average_precision(ranked_items, relevant) -> float:
     return total / len(relevant)
 
 
-def _score_table(
-    col_ptr: np.ndarray, raters: np.ndarray, vals: np.ndarray, labels: np.ndarray, k: int
-) -> np.ndarray:
+def _score_table(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
     """Items x k table of each cluster's mean rating of each item.
 
-    The columns are items in compressed form (``raters``/``vals`` delimited by
-    ``col_ptr``). A cell no cluster member rated holds the item's mean rating,
-    or FALLBACK_SCORE for an item nobody rated. The bins are item-major,
-    ``item * k + label``, so each cell sums its raters in column order.
+    A cell no cluster member rated holds the item's mean rating, or
+    FALLBACK_SCORE for an item nobody rated. The bins are those of the
+    k-means mean update, so each cell sums its raters in ascending row order.
     """
-    n_items = len(col_ptr) - 1
-    n_raters = np.diff(col_ptr)
-    # In place where possible: the table's peak memory is the sweep's peak.
-    bins = segment_ids(col_ptr)
-    item_total = segment_sums(bins, vals, n_items)
+    n_items = m.n_items
+    n_raters = np.bincount(m.indices, minlength=n_items)
+    item_total = segment_sums(m.indices, m.values, n_items)
     item_mean = np.where(n_raters > 0, item_total / np.maximum(n_raters, 1), FALLBACK_SCORE)
-    bins *= k
-    bins += labels[raters]
+    bins = item_cluster_bins(m, labels, k)
     cnt = np.bincount(bins, minlength=n_items * k).reshape(n_items, k)
-    table = np.bincount(bins, weights=vals, minlength=n_items * k).reshape(n_items, k)
+    table = np.bincount(bins, weights=m.values, minlength=n_items * k).reshape(n_items, k)
     table = table.astype(np.float64, copy=False)  # integer zeros when no item has a rater
     table /= np.maximum(cnt, 1)
     np.copyto(table, item_mean[:, None], where=cnt == 0)
@@ -237,7 +231,6 @@ def sweep_coefficient(
         raise ValueError("every coefficient must be >= 1")
 
     train, held_items, held_gains, pools = _holdout_split(m, ecfg)
-    csc = train.to_csr().tocsc()
 
     rows = []
     for coeff in coeffs:
@@ -246,7 +239,7 @@ def sweep_coefficient(
         labels = fit(train, kcfg, threads=threads).assignments
         # A candidate is never in its user's training row, so no cell needs
         # the user's own rating taken out.
-        table = _score_table(csc.indptr, csc.indices, csc.data, labels, k)
+        table = _score_table(train, labels, k)
 
         ndcgs, aps = [], []
         for lo in range(0, train.n_users, _RANK_BLOCK):

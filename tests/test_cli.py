@@ -262,7 +262,7 @@ def test_parse_config_file_types(tmp_path):
     [
         ("dataset", "netflix"),
         ("k_coeff", 0),
-        ("sample_size", -1),
+        ("sample", -1),
         ("ordering", "sideways"),
         ("breakpoint_method", "eyeball"),
         ("threads", -2),
@@ -579,7 +579,14 @@ def test_pipeline_with_empty_cohort_writes_nothing(config, flags, jester_file, t
 
 @pytest.mark.parametrize(
     "command, line",
-    [("fit", "kmeans_restarts = 0"), ("sweep", "eval_holdout = 0"), ("fit", "sample = 0")],
+    [
+        ("fit", "kmeans_restarts = 0"),
+        ("sweep", "eval_holdout = 0"),
+        ("fit", "sample = 0"),
+        ("fit", "seed = -1"),
+        ("pipeline", "coeffs = 0,10"),
+        ("pipeline", "ordering = by_timestamp"),  # a Jester matrix has no timestamps
+    ],
 )
 def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -594,6 +601,32 @@ def test_bad_config_value_writes_nothing(command, line, jester_file, tmp_path, c
     assert not (tmp_path / "o").exists()
     key = line.split(" = ")[0]  # the message names the key the user wrote, not a field
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+def test_resolved_config_regenerates_the_run(jester_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "kmeans_conv_tol = 1e-4\neval_relevance_threshold = 2.5\n"
+        "ordering = by_item_index\nbreakpoint_method = kneedle\n"
+    )
+    out = tmp_path / "o"
+    argv = [
+        "pipeline", "--config", str(cfg), "--dataset", "jester", "--input", str(jester_file),
+        "--k-coeff", "10", "--coeffs", "10,30", "--sample", "20", "--t-max", "80",
+        "--seed", "3", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"}
+    saved = tmp_path / "saved.config"
+    shutil.copy(out / "resolved.config", saved)
+    shutil.rmtree(out)
+
+    rerun = ["pipeline", "--config", str(saved)]
+    parser = cli._build_parser()
+    resolved = cli.resolve_config(parser.parse_args(rerun))
+    assert resolved == cli.resolve_config(parser.parse_args(argv))
+    assert main(rerun) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"} == first
 
 
 def test_curves_before_fit_tells_user_to_fit(jester_file, tmp_path, capsys):

@@ -101,11 +101,6 @@ def test_ap_ignores_order_after_last_relevant(seed):
 
 # ---------------------------------------------------------------- score table
 
-def _score_table(m, labels, k):
-    csc = m.to_csr().tocsc()
-    return rv._score_table(csc.indptr, csc.indices, csc.data, np.asarray(labels), k)
-
-
 def test_score_table_fallback_chain(mk_matrix):
     # users 0 and 3 in cluster 0, user 1 in cluster 1, user 2 in cluster 2
     m = mk_matrix(
@@ -116,7 +111,7 @@ def test_score_table_fallback_chain(mk_matrix):
             [4.0, np.nan, np.nan],
         ]
     )
-    table = _score_table(m, [0, 1, 2, 0], 3)
+    table = rv._score_table(m, np.array([0, 1, 2, 0]), 3)
     # a cell some cluster member rated: the members' mean
     assert table[0, 0] == pytest.approx(4.5)
     assert table[0, 1] == table[1, 1] == 2.0
@@ -129,7 +124,7 @@ def test_score_table_fallback_chain(mk_matrix):
 
 
 def test_score_table_without_ratings_is_the_constant(mk_matrix):
-    table = _score_table(mk_matrix(np.full((2, 3), np.nan)), [0, 1], 2)
+    table = rv._score_table(mk_matrix(np.full((2, 3), np.nan)), np.array([0, 1]), 2)
     assert table.dtype == np.float64
     assert table.tolist() == [[rv.FALLBACK_SCORE] * 2] * 3
 
@@ -271,8 +266,7 @@ def test_rank_blocks_match_per_user_metrics_exactly(block):
     k = 15
     labels = rng.integers(0, k, size=m.n_users)
     train, held, gains, pools = rv._holdout_split(m, ecfg)
-    csc = train.to_csr().tocsc()
-    table = rv._score_table(csc.indptr, csc.indices, csc.data, labels, k)
+    table = rv._score_table(train, labels, k)
     ndcgs, aps = [], []
     for lo in range(0, m.n_users, block):
         part = slice(lo, lo + block)
