@@ -1,13 +1,16 @@
 """Command-line pipeline: ingest -> fit -> sweep -> curves -> threshold.
 
 A command runs one stage, or all of them for ``pipeline``. It checks its
-inputs, parses ``--input`` once and hands the matrix to every stage that
-needs it; each stage writes file artifacts into the output directory and
-can be re-run independently. ``curves`` reads the model ``fit`` left there
-and ``threshold`` the curves ``curves`` left there. A flat ``key = value``
-config file provides defaults that individual flags override; each command
-writes the fully resolved config next to its outputs, so any artifact can
-be regenerated from the directory alone.
+inputs, reads the rating matrix of ``--input`` once and hands it to every
+stage that needs it; each stage writes file artifacts into the output
+directory and can be re-run independently. ``ingest`` parses the input and
+leaves the matrix there as ``matrix.bin``, keyed by a digest of the dataset
+name and the input's bytes; ``fit``, ``sweep`` and ``curves`` read that file
+when the key matches and parse the input when it does not. ``curves`` reads
+the model ``fit`` left there and ``threshold`` the curves ``curves`` left
+there. A flat ``key = value`` config file provides defaults that individual
+flags override; each command writes the fully resolved config next to its
+outputs, so any artifact can be regenerated from the directory alone.
 
 Exit codes: 0 success, 2 usage or input error, 3 methodology error
 (degenerate model, no curve intersection), 4 internal invariant violation.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -201,16 +205,42 @@ def _update_summary(out: Path, fragment: dict) -> None:
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_matrix(cfg: RunConfig) -> ds.RatingMatrix:
+# The parsed matrix `ingest` leaves in --out for later stages (ds.write_matrix).
+MATRIX_FILE = "matrix.bin"
+
+
+def _input_key(dataset: str, path: Path) -> str:
+    """sha256 of the handoff format tag, the dataset name and the raw input's bytes."""
+    h = hashlib.sha256(f"{ds.MATRIX_FORMAT} {dataset}\n".encode())
+    # One reused buffer: allocating a chunk per read raised a later k-means fit's peak RSS.
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
+    return h.hexdigest()
+
+
+def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
+    """The input matrix, and the summary keys saying which input it is and where it came from.
+
+    With ``handoff`` set, the matrix `ingest` left in --out is read when its
+    key matches the input's; otherwise, or when there is none, the input is
+    parsed.
+    """
     if not cfg.input:
         raise UsageError("--input is required for this command")
     path = Path(cfg.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
-    if cfg.dataset == "jester":
-        return ds.parse_jester(path)
-    events = ds.parse_movielens(path)
-    return ds.build_matrix(events)
+    key = _input_key(cfg.dataset, path)
+    m = ds.read_matrix(Path(cfg.out) / MATRIX_FILE, key) if handoff else None
+    provenance = {"input_sha256": key, "matrix_source": "parsed" if m is None else "handoff"}
+    if m is None and cfg.dataset == "jester":
+        m = ds.parse_jester(path)
+    elif m is None:
+        m = ds.build_matrix(ds.parse_movielens(path))
+    return m, provenance
 
 
 def _curve_cohort(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
@@ -400,7 +430,9 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
     if "curves" in stages and "fit" not in stages and not (out / "model.txt").exists():
         raise UsageError(f"missing model file: {out / 'model.txt'} (run `fit` first)")
-    m = _load_matrix(cfg) if any(s in _MATRIX_STAGES for s in stages) else None
+    m, provenance = None, {}
+    if any(s in _MATRIX_STAGES for s in stages):
+        m, provenance = _load_matrix(cfg, handoff="ingest" not in stages)
     if "sweep" in stages:
         _sweep_users(cfg, m)
     if "curves" in stages:
@@ -413,7 +445,9 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         if name == "threshold":
             fragment = _threshold(cfg, out)
         else:
-            fragment = _MATRIX_STAGES[name](cfg, m, out)
+            fragment = {**_MATRIX_STAGES[name](cfg, m, out), **provenance}
+        if name == "ingest":
+            ds.write_matrix(m, out / MATRIX_FILE, provenance["input_sha256"])
         fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
         _update_summary(out, fragment)
         t0 = time.perf_counter()

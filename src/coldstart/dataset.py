@@ -12,10 +12,14 @@ Python object is made per rating: ``parse_movielens`` returns
 when a call fails does a line-by-line scan of that block run, to name the
 first bad line. ``export_canonical_csv`` writes a matrix back out as text
 gathered from per-field tables into byte grids, with no Python code per row.
+``write_matrix`` stores a parsed matrix under a caller's key and
+``read_matrix`` gives it back only under that key, so that a later process
+can skip the parse.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -460,18 +464,16 @@ def build_matrix(events: RatingEvents) -> RatingMatrix:
     user_ids, u_idx = np.unique(users, return_inverse=True)
     item_ids, i_idx = np.unique(items, return_inverse=True)
 
-    # Sort by (user, item); np.lexsort is stable, so each run of a repeated
-    # pair stays in arrival order and its last entry is the one kept.
-    order = np.lexsort((i_idx, u_idx))
+    # Sort by (user, item) as one int64 key; a stable sort keeps each run of
+    # a repeated pair in arrival order, and its last entry is the one kept.
+    pair = u_idx * len(item_ids) + i_idx
+    order = np.argsort(pair, kind="stable")
+    keep = np.ones(events.n_ratings, dtype=bool)
+    keep[:-1] = np.diff(pair[order]) != 0
+    order = order[keep]
     u_idx, i_idx, vals = u_idx[order], i_idx[order], vals[order]
     if tstamps is not None:
         tstamps = tstamps[order]
-
-    keep = np.ones(events.n_ratings, dtype=bool)
-    keep[:-1] = (np.diff(u_idx) != 0) | (np.diff(i_idx) != 0)
-    u_idx, i_idx, vals = u_idx[keep], i_idx[keep], vals[keep]
-    if tstamps is not None:
-        tstamps = tstamps[keep]
 
     counts = np.bincount(u_idx, minlength=len(user_ids))
     indptr = np.zeros(len(user_ids) + 1, dtype=np.int64)
@@ -489,6 +491,84 @@ def build_matrix(events: RatingEvents) -> RatingMatrix:
         timestamps=tstamps,
     )
     m.validate()
+    return m
+
+
+# Tag of the handoff file's layout and of the parse it stores: callers hash
+# it into the key, so bump it whenever either changes.
+MATRIX_FORMAT = "coldstart-matrix v1"
+_SCHEMES = {s.kind: s for s in (IDENTITY_1_TO_5, JESTER_AFFINE)}
+_NO_TIMESTAMPS = "none"
+
+
+def write_matrix(m: RatingMatrix, path: str | Path, key: str) -> None:
+    """Write ``m`` under ``key`` as a stream of ``.npy`` records, replacing ``path`` atomically.
+
+    The records are the key, ``indptr``, ``indices``, ``values``,
+    ``user_ids``, ``item_ids``, the timestamps (or the string "none") and the
+    scheme's kind. The bytes depend on nothing but these, and hold no pickle.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    timestamps = np.array(_NO_TIMESTAMPS) if m.timestamps is None else m.timestamps
+    records = (
+        np.array(key), m.indptr, m.indices, m.values, m.user_ids, m.item_ids,
+        timestamps, np.array(m.scheme.kind),
+    )
+    try:
+        with open(tmp, "wb") as fh:
+            for record in records:
+                np.save(fh, record, allow_pickle=False)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _text_record(record: np.ndarray) -> str:
+    if record.ndim != 0 or record.dtype.kind != "U":
+        raise ValueError(f"expected a text record, got {record.dtype} of shape {record.shape}")
+    return str(record)
+
+
+def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
+    """The matrix ``write_matrix`` stored at ``path`` under ``key``, else None.
+
+    None when the file is missing or holds another key. A file that cannot
+    be read or fails ``RatingMatrix.validate`` warns and gives None, so that
+    the caller parses the input instead.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if _text_record(np.lib.format.read_array(fh, allow_pickle=False)) != key:
+                return None
+            records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(7)]
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last record")
+        indptr, indices, values, user_ids, item_ids, timestamps, kind = records
+        if timestamps.dtype.kind == "U":
+            if _text_record(timestamps) != _NO_TIMESTAMPS:
+                raise ValueError(f"timestamp record holds {timestamps!r}")
+            timestamps = None
+        scheme = _SCHEMES.get(_text_record(kind))
+        if scheme is None:
+            raise ValueError(f"unknown scheme {str(kind)!r}")
+        m = RatingMatrix(
+            n_users=len(indptr) - 1,
+            n_items=len(item_ids),
+            indptr=indptr,
+            indices=indices,
+            values=values,
+            user_ids=user_ids,
+            item_ids=item_ids,
+            scheme=scheme,
+            timestamps=timestamps,
+        )
+        m.validate()
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, TypeError, IndexError) as e:
+        warnings.warn(f"ignoring unreadable matrix file {path}: {e}", stacklevel=2)
+        return None
     return m
 
 
@@ -572,17 +652,37 @@ def sample_users(
 _EXPORT_BLOCK = 1 << 17
 
 
-def _text_table(
-    column: np.ndarray, dtype: type, fmt: Callable[[object], str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``fmt`` of each distinct value of ``column`` as a NUL-padded uint8 table, and each element's row.
+class _TextTable:
+    """``fmt`` of each distinct value seen so far, as NUL-padded uint8 rows sorted by bit pattern.
 
     Values are told apart by bit pattern, so 0.0 and -0.0 keep their own text.
     """
-    column = np.ascontiguousarray(column, dtype=dtype)
-    distinct, which = np.unique(column.view(np.int64), return_inverse=True)
-    table = np.asarray([fmt(x) for x in distinct.view(dtype).tolist()], dtype=np.bytes_)
-    return table.view(np.uint8).reshape(len(distinct), table.itemsize), which
+
+    def __init__(self, dtype: type, fmt: Callable[[object], str]):
+        self.dtype, self.fmt = dtype, fmt
+        self.bits = np.empty(0, dtype=np.int64)
+        self.text = np.empty(0, dtype=np.bytes_)
+
+    def __call__(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The table and each element's row in it, formatting only the values not seen before."""
+        bits = np.ascontiguousarray(column, dtype=self.dtype).view(np.int64)
+        distinct, which = np.unique(bits, return_inverse=True)
+        if not len(self.bits):  # the first call: the table is this column's
+            self.bits, self.text = distinct, self._format(distinct)
+            return self._table(), which
+        new = np.setdiff1d(distinct, self.bits, assume_unique=True)
+        if len(new):
+            merged = np.concatenate([self.bits, new])
+            order = np.argsort(merged)
+            self.bits = merged[order]
+            self.text = np.concatenate([self.text, self._format(new)])[order]
+        return self._table(), np.searchsorted(self.bits, distinct)[which]
+
+    def _table(self) -> np.ndarray:
+        return self.text.view(np.uint8).reshape(len(self.text), self.text.itemsize)
+
+    def _format(self, bits: np.ndarray) -> np.ndarray:
+        return np.asarray([self.fmt(x) for x in bits.view(self.dtype).tolist()], dtype=np.bytes_)
 
 
 def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
@@ -590,16 +690,16 @@ def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
 
     Values are written as ``repr(float)``, ids and timestamps as ``str(int)``,
     and no Python code runs per row. Each field's text, with the separator
-    that follows it, is made once per distinct id in the matrix and once per
-    distinct value or timestamp in each window of ``_EXPORT_BLOCK // 8`` rows,
-    into NUL-padded uint8 tables. Each block of at most ``_EXPORT_BLOCK``
-    bytes gathers its fields from those tables into one grid, which is
-    written without its NULs.
+    that follows it, is made once per distinct id or value in the matrix and
+    once per distinct timestamp in each window of ``_EXPORT_BLOCK // 8``
+    rows, into NUL-padded uint8 tables. Each block of at most
+    ``_EXPORT_BLOCK`` bytes gathers its fields from those tables into one
+    grid, which is written without its NULs.
     """
     stamped = m.timestamps is not None
-    users, user_of = _text_table(m.user_ids, np.int64, "{},".format)
-    items, item_of = _text_table(m.item_ids, np.int64, "{},".format)
-    value_text = ("{!r}," if stamped else "{!r},\n").format
+    users, user_of = _TextTable(np.int64, "{},".format)(m.user_ids)
+    items, item_of = _TextTable(np.int64, "{},".format)(m.item_ids)
+    value_text = _TextTable(np.float64, ("{!r}," if stamped else "{!r},\n").format)
     # A float64 repr is at most 24 characters ("-2.2250738585072014e-308"), an int64 20.
     widest = users.shape[1] + items.shape[1] + (46 if stamped else 26)
     window, block = max(1, _EXPORT_BLOCK // 8), max(1, _EXPORT_BLOCK // widest)
@@ -610,9 +710,9 @@ def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
             hi = min(lo + window, m.n_ratings)
             rows = np.searchsorted(m.indptr, np.arange(lo, hi), side="right") - 1
             fields = [(users, user_of[rows]), (items, item_of[m.indices[lo:hi]])]
-            fields.append(_text_table(m.values[lo:hi], np.float64, value_text))
+            fields.append(value_text(m.values[lo:hi]))
             if stamped:
-                fields.append(_text_table(m.timestamps[lo:hi], np.int64, "{}\n".format))
+                fields.append(_TextTable(np.int64, "{}\n".format)(m.timestamps[lo:hi]))
             for a in range(0, hi - lo, block):
                 # np.take gathers whole table rows several times faster than indexing.
                 grid = np.hstack([np.take(t, of[a : a + block], axis=0) for t, of in fields])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -188,13 +189,20 @@ def test_pipeline_parses_once_and_matches_staged_commands(
         monkeypatch.setattr(cli.ds, name, counted(name, getattr(cli.ds, name)))
     assert main(argv("pipeline", tmp_path / "piped")) == EXIT_OK
     assert calls == {name: 1 for name in parsers}
-    monkeypatch.undo()
 
+    # Only `ingest` parses; every later stage reads the matrix it left.
+    staged_out = tmp_path / "staged"
     for stage in ("ingest", "fit", "sweep", "curves", "threshold"):
-        assert main(argv(stage, tmp_path / "staged")) == EXIT_OK, stage
+        assert main(argv(stage, staged_out)) == EXIT_OK, stage
+        assert calls == {name: 2 for name in parsers}, stage
+        if stage != "threshold":
+            source = json.loads((staged_out / "summary.json").read_text())["matrix_source"]
+            assert source == ("parsed" if stage == "ingest" else "handoff"), stage
     written = [n for n in DETERMINISTIC if (tmp_path / "piped" / n).exists()]
     assert "sweep.csv" in written
     assert ("success_mincohort.csv" in written) == (dataset == "movielens")
+    handoffs = [tmp_path / d / cli.MATRIX_FILE for d in ("piped", "staged")]
+    assert handoffs[0].read_bytes() == handoffs[1].read_bytes()
     for name in DETERMINISTIC:
         piped, staged = tmp_path / "piped" / name, tmp_path / "staged" / name
         assert piped.exists() == staged.exists(), name
@@ -215,6 +223,86 @@ def test_pipeline_is_deterministic(jester_file, tmp_path):
         outs.append(out)
     for name in ("model.txt", "success.csv", "quality.csv", "threshold.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------- matrix handoff
+
+def _fit_then_copy(data, tmp_path, flags):
+    """Run `ingest` and `fit` into one directory.
+
+    Returns its flags, and those of a copy of it without the handoff file.
+    """
+    def common(out):
+        return ["--input", str(data), "--out", str(out), *flags]
+
+    out = tmp_path / "out"
+    for stage in ("ingest", "fit"):
+        assert main([stage, *common(out)]) == EXIT_OK
+    bare = tmp_path / "bare"
+    shutil.copytree(out, bare)
+    (bare / cli.MATRIX_FILE).unlink()
+    return common(out), common(bare)
+
+
+def _curve_artifacts(out):
+    return {n: (out / n).read_bytes() for n in DETERMINISTIC if (out / n).exists()}
+
+
+ML_FLAGS = ["--dataset", "movielens", "--k-coeff", "10", "--min-ratings", "6",
+            "--sample", "10", "--t-max", "12", "--seed", "0"]
+JESTER_FLAGS = ["--dataset", "jester", "--k-coeff", "10", "--min-ratings", "50",
+                "--sample", "20", "--t-max", "80", "--seed", "0"]
+
+
+def test_summary_names_the_input_and_where_its_matrix_came_from(ml_file, tmp_path):
+    out = tmp_path / "o"
+    flags = ["--input", str(ml_file), "--out", str(out), *ML_FLAGS]
+    tag = f"{ds.MATRIX_FORMAT} movielens\n".encode()
+    key = hashlib.sha256(tag + ml_file.read_bytes()).hexdigest()
+    for stage, source in (("ingest", "parsed"), ("fit", "handoff"), ("curves", "handoff")):
+        assert main([stage, *flags]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["input_sha256"], summary["matrix_source"]) == (key, source), stage
+
+
+def test_stale_handoff_is_parsed_around(ml_file, tmp_path):
+    data = tmp_path / "ratings.dat"
+    shutil.copy(ml_file, data)
+    flags, bare_flags = _fit_then_copy(data, tmp_path, ML_FLAGS)
+    # Edit one rating of the input after `ingest` wrote the handoff.
+    lines = data.read_text().splitlines()
+    user, item, value, stamp = lines[20].split("::")
+    lines[20] = "::".join([user, item, "5" if value != "5" else "1", stamp])
+    data.write_text("\n".join(lines) + "\n")
+
+    assert main(["curves", *flags]) == EXIT_OK
+    assert main(["curves", *bare_flags]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["matrix_source"] == "parsed"
+    assert _curve_artifacts(tmp_path / "out") == _curve_artifacts(tmp_path / "bare")
+
+
+def test_handoff_key_differs_between_datasets(jester_file, tmp_path):
+    out = tmp_path / "o"
+    assert main(["ingest", "--dataset", "jester", "--input", str(jester_file),
+                 "--out", str(out)]) == EXIT_OK
+    keys = {d: cli._input_key(d, jester_file) for d in ("jester", "movielens")}
+    assert keys["jester"] != keys["movielens"]
+    assert ds.read_matrix(out / cli.MATRIX_FILE, keys["jester"]) is not None
+    assert ds.read_matrix(out / cli.MATRIX_FILE, keys["movielens"]) is None
+
+
+def test_truncated_handoff_warns_and_is_parsed_around(jester_file, tmp_path):
+    flags, bare_flags = _fit_then_copy(jester_file, tmp_path, JESTER_FLAGS)
+    handoff = tmp_path / "out" / cli.MATRIX_FILE
+    handoff.write_bytes(handoff.read_bytes()[: handoff.stat().st_size // 2])
+
+    with pytest.warns(UserWarning, match="unreadable matrix file"):
+        assert main(["curves", *flags]) == EXIT_OK
+    assert main(["curves", *bare_flags]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["matrix_source"] == "parsed"
+    assert _curve_artifacts(tmp_path / "out") == _curve_artifacts(tmp_path / "bare")
 
 
 # ---------------------------------------------------------------- config handling

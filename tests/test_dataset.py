@@ -562,6 +562,67 @@ def test_parse_movielens_names_line_of_number_numpy_rejects(field):
     assert exc.value.line_no == 3
 
 
+# ---------------------------------------------------------------- matrix handoff file
+
+_HANDOFF_INPUTS = {
+    # the middle row is all 99s: a user with no ratings
+    "jester": lambda: ds.parse_jester(io.StringIO("\n".join([
+        _jester_line(2, [-10.0, 99.0, 2.5] + [99.0] * 97),
+        _jester_line(0, [99.0] * 100),
+        _jester_line(1, [99.0] * 99 + [10.0]),
+    ]) + "\n")),
+    "movielens": lambda: ds.build_matrix(ds.parse_movielens(io.StringIO(ML_SAMPLE))),
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(_HANDOFF_INPUTS))
+def test_written_matrix_reads_back_as_parsed(dataset, tmp_path):
+    m = _HANDOFF_INPUTS[dataset]()
+    path = tmp_path / "matrix.bin"
+    ds.write_matrix(m, path, "key-1")
+    got = ds.read_matrix(path, "key-1")
+    assert got.content_digest() == m.content_digest()
+    assert (got.n_users, got.n_items, got.scheme) == (m.n_users, m.n_items, m.scheme)
+    for name in ("indptr", "indices", "values", "user_ids", "item_ids", "timestamps"):
+        want, have = getattr(m, name), getattr(got, name)
+        assert (have is None) if want is None else (have.dtype == want.dtype), name
+    assert (m.timestamps is None) == (dataset == "jester")
+    assert m.row_length(1) == (0 if dataset == "jester" else 2)
+    # The bytes depend only on the matrix and the key, and no temporary file stays.
+    again = tmp_path / "again.bin"
+    ds.write_matrix(got, again, "key-1")
+    assert again.read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.bin", "matrix.bin"]
+
+
+def test_matrix_under_another_key_or_missing_reads_as_none(tmp_path):
+    path = tmp_path / "matrix.bin"
+    assert ds.read_matrix(path, "key-1") is None
+    ds.write_matrix(_HANDOFF_INPUTS["movielens"](), path, "key-1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ds.read_matrix(path, "key-2") is None
+
+
+def test_damaged_matrix_file_warns_and_reads_as_none(tmp_path):
+    path = tmp_path / "matrix.bin"
+    ds.write_matrix(_HANDOFF_INPUTS["movielens"](), path, "key-1")
+    whole = path.read_bytes()
+    for damaged in (whole[:40], whole[: len(whole) // 2], whole[:-1], whole + b"\0", b"junk"):
+        path.write_bytes(damaged)
+        with pytest.warns(UserWarning, match="unreadable matrix file"):
+            assert ds.read_matrix(path, "key-1") is None
+
+
+def test_matrix_file_failing_validation_is_not_used(tmp_path, mk_matrix):
+    m = mk_matrix(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+    path = tmp_path / "matrix.bin"
+    # item index 2 in a 2-item space
+    ds.write_matrix(dataclasses.replace(m, indices=np.array([0, 2], dtype=np.int32)), path, "k")
+    with pytest.warns(UserWarning, match="item index out of range"):
+        assert ds.read_matrix(path, "k") is None
+
+
 # ---------------------------------------------------------------- export vs csv.writer
 
 def _export_both(m, block):
