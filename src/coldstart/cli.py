@@ -222,7 +222,7 @@ def _input_key(dataset: str, path: Path) -> str:
 
 
 def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
-    """The input matrix, and the summary keys saying which input it is and where it came from.
+    """The input matrix, and the summary keys naming the input, its size and where it came from.
 
     With ``handoff`` set, the matrix `ingest` left in --out is read when its
     key matches the input's; otherwise, or when there is none, the input is
@@ -235,12 +235,19 @@ def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
         raise UsageError(f"input file not found: {path}")
     key = _input_key(cfg.dataset, path)
     m = ds.read_matrix(Path(cfg.out) / MATRIX_FILE, key) if handoff else None
-    provenance = {"input_sha256": key, "matrix_source": "parsed" if m is None else "handoff"}
+    source = "parsed" if m is None else "handoff"
     if m is None and cfg.dataset == "jester":
         m = ds.parse_jester(path)
     elif m is None:
         m = ds.build_matrix(ds.parse_movielens(path))
-    return m, provenance
+    return m, {
+        "dataset": cfg.dataset,
+        "n_users": m.n_users,
+        "n_items": m.n_items,
+        "n_ratings": m.n_ratings,
+        "input_sha256": key,
+        "matrix_source": source,
+    }
 
 
 def _curve_cohort(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
@@ -267,12 +274,7 @@ def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
 def _ingest(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     ds.export_canonical_csv(m, out / "canonical.csv")
     print(f"ingest: {m.n_users} users, {m.n_items} items, {m.n_ratings} ratings")
-    return {
-        "dataset": cfg.dataset,
-        "n_users": m.n_users,
-        "n_items": m.n_items,
-        "n_ratings": m.n_ratings,
-    }
+    return {}
 
 
 def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
@@ -341,30 +343,22 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     model = km.load_model(out / "model.txt", m)
     users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()
-    min_cohort = users[:0]
-    if cfg.dataset == "movielens":
-        min_count, min_cohort, _ = xp.split_by_min_count(m)
-    # One replay feeds every curve: the sample's rows, then the min cohort's.
-    replay = xp.prefix_replay(model, m, np.concatenate([users, min_cohort]), cfg.t_max, ordering)
-    n = len(users)
-    sample = replay.take(slice(0, n))
 
-    success = xp.success_curve(model, m, users, cfg.t_max, ordering, replay=sample)
+    success = xp.success_curve(model, m, users, cfg.t_max, ordering)
     xp.write_success_csv(success, out / "success.csv")
-    quality_c = xp.quality_curve(model, m, users, cfg.t_max, ordering, replay=sample)
+    quality_c = xp.quality_curve(model, m, users, cfg.t_max, ordering)
     xp.write_quality_csv(quality_c, out / "quality.csv")
 
-    fragment = {"curve_users": n}
-    if len(min_cohort):
-        cohort_curve = xp.success_curve(
-            model, m, min_cohort, cfg.t_max, ordering, replay=replay.take(slice(n, None))
-        )
+    fragment = {"curve_users": len(users)}
+    if cfg.dataset == "movielens":
+        min_count, min_cohort, _ = xp.split_by_min_count(m)
+        cohort_curve = xp.success_curve(model, m, min_cohort, cfg.t_max, ordering)
         xp.write_success_csv(cohort_curve, out / "success_mincohort.csv")
-        fragment["min_cohort_count"] = int(len(min_cohort))
+        fragment["min_cohort_count"] = len(min_cohort)
         fragment["min_cohort_ratings"] = min_count
     print(
         f"curves: success over {len(success.points)} prefix lengths, "
-        f"{n} users evaluated"
+        f"{len(users)} users evaluated"
     )
     return fragment
 
@@ -430,9 +424,9 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
     if "curves" in stages and "fit" not in stages and not (out / "model.txt").exists():
         raise UsageError(f"missing model file: {out / 'model.txt'} (run `fit` first)")
-    m, provenance = None, {}
+    m, input_summary = None, {}
     if any(s in _MATRIX_STAGES for s in stages):
-        m, provenance = _load_matrix(cfg, handoff="ingest" not in stages)
+        m, input_summary = _load_matrix(cfg, handoff="ingest" not in stages)
     if "sweep" in stages:
         _sweep_users(cfg, m)
     if "curves" in stages:
@@ -445,9 +439,9 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         if name == "threshold":
             fragment = _threshold(cfg, out)
         else:
-            fragment = {**_MATRIX_STAGES[name](cfg, m, out), **provenance}
+            fragment = {**_MATRIX_STAGES[name](cfg, m, out), **input_summary}
         if name == "ingest":
-            ds.write_matrix(m, out / MATRIX_FILE, provenance["input_sha256"])
+            ds.write_matrix(m, out / MATRIX_FILE, input_summary["input_sha256"])
         fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
         _update_summary(out, fragment)
         t0 = time.perf_counter()

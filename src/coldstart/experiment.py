@@ -5,9 +5,10 @@ prefix of length t is assigned against those fixed centroids and compared with
 the assignment of the full row. ``prefix_replay`` labels every prefix of every
 selected user in one walk over their ratings, keeping running dots with the
 centroids and running norms, so the cost is one pass over the ratings plus one
-users x k argmin per t. One replay can feed the success curve, the quality
-curve and the min-cohort curve. It runs on one thread, so the curves never
-depend on the run's thread count.
+users x k argmin per t. Each curve runs its own replay; every step of it is
+row-wise, so a user's labels do not depend on which other users share the
+replay. It runs on one thread, so the curves never depend on the run's
+thread count.
 """
 
 from __future__ import annotations
@@ -101,17 +102,6 @@ class IntersectionReport:
         return self.position != "within"
 
 
-def _validate_users(model: ClusterModel, m: RatingMatrix, users) -> np.ndarray:
-    users = np.asarray(users, dtype=np.int64)
-    if users.size == 0:
-        raise ValueError("user list is empty")
-    if users.min() < 0 or users.max() >= m.n_users:
-        raise ValueError("user index out of range")
-    if m.n_items != model.n_items:
-        raise ValueError("matrix item space does not match the model")
-    return users
-
-
 @dataclass(frozen=True, eq=False)
 class PrefixReplay:
     """Labels of every user's rating prefixes against a frozen model.
@@ -127,17 +117,6 @@ class PrefixReplay:
     lengths: np.ndarray
     labels: np.ndarray
     final: np.ndarray
-    ordering: PrefixOrdering
-
-    @property
-    def t_max(self) -> int:
-        return int(self.labels.shape[0])
-
-    def take(self, rows: slice) -> PrefixReplay:
-        """The replay of a contiguous block of its users."""
-        return PrefixReplay(
-            self.users[rows], self.lengths[rows], self.labels[:, rows], self.final[rows], self.ordering
-        )
 
 
 def prefix_replay(
@@ -158,7 +137,13 @@ def prefix_replay(
     so under ``BY_ITEM_INDEX`` the final labels see the norms ``fit`` and
     ``load_model`` see.
     """
-    users = _validate_users(model, m, users)
+    users = np.asarray(users, dtype=np.int64)
+    if users.size == 0:
+        raise ValueError("user list is empty")
+    if users.min() < 0 or users.max() >= m.n_users:
+        raise ValueError("user index out of range")
+    if m.n_items != model.n_items:
+        raise ValueError("matrix item space does not match the model")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if ordering.kind == "by_timestamp" and m.timestamps is None:
@@ -200,19 +185,7 @@ def prefix_replay(
 
     back = np.empty_like(order)
     back[order] = np.arange(n)
-    return PrefixReplay(users, lengths, labels[:, back], final[back], ordering)
-
-
-def _checked_replay(model, m, users, t_max, ordering, replay) -> PrefixReplay:
-    """``replay`` if it covers these users, prefix lengths and ordering; else a fresh one."""
-    if replay is None:
-        return prefix_replay(model, m, users, t_max, ordering)
-    users = _validate_users(model, m, users)
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if replay.t_max < t_max or replay.ordering != ordering or not np.array_equal(replay.users, users):
-        raise ValueError("replay does not cover these users, prefix lengths and ordering")
-    return replay
+    return PrefixReplay(users, lengths, labels[:, back], final[back])
 
 
 def success_curve(
@@ -221,15 +194,9 @@ def success_curve(
     users,
     t_max: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
-    *,
-    replay: PrefixReplay | None = None,
 ) -> SuccessCurve:
-    """Per-prefix-length agreement with the final cluster over users with >= t ratings.
-
-    ``replay``, from ``prefix_replay`` over the same model, matrix, users
-    and ordering, saves running the replay here.
-    """
-    replay = _checked_replay(model, m, users, t_max, ordering, replay)
+    """Per-prefix-length agreement with the final cluster over users with >= t ratings."""
+    replay = prefix_replay(model, m, users, t_max, ordering)
     lens = replay.lengths
     points = []
     for t in range(1, min(t_max, int(lens.max())) + 1):
@@ -245,16 +212,14 @@ def quality_curve(
     users,
     t_max: int,
     ordering: PrefixOrdering = BY_ITEM_INDEX,
-    *,
-    replay: PrefixReplay | None = None,
 ) -> QualityCurve:
     """Mean signed quality of prefix-assigned clusters versus final clusters.
 
     Every user contributes at every t with a prefix capped at their history
     length, so the reference series is constant and the current series meets
-    it exactly at saturation. ``replay`` is taken as in ``success_curve``.
+    it exactly at saturation.
     """
-    replay = _checked_replay(model, m, users, t_max, ordering, replay)
+    replay = prefix_replay(model, m, users, t_max, ordering)
     terms = davies_bouldin(model, m).per_cluster_db_term
     ref_terms = terms[replay.final]
     if np.isnan(ref_terms).any():

@@ -8,11 +8,13 @@ edited.
 
 import dataclasses
 import importlib
+import time
 from pathlib import Path
 
 import pytest
 
 from coldstart import cli
+from coldstart import experiment as xp
 from coldstart import kmeans as km
 from test_cli import _write_jester, _write_movielens
 
@@ -57,7 +59,7 @@ def test_benchmark_checks_pass_on_a_traced_jester_pipeline(bench, tmp_path):
     assert log.failed == 0, log.failures
 
 
-def test_benchmark_checks_pass_on_a_traced_movielens_pipeline(bench, tmp_path):
+def test_benchmark_checks_pass_on_a_traced_movielens_pipeline(bench, tmp_path, monkeypatch):
     checks, tracing, workloads = bench
     corpus = tmp_path / "ratings.dat"
     _write_movielens(corpus)
@@ -73,6 +75,16 @@ def test_benchmark_checks_pass_on_a_traced_movielens_pipeline(bench, tmp_path):
     config = tmp_path / "bench.config"
     config.write_text("\n".join(w.config) + "\n")
     out = tmp_path / "out"
+    replays = []
+    real_replay = xp.prefix_replay
+
+    def timed_replay(*args, **kwargs):
+        start = time.perf_counter()
+        result = real_replay(*args, **kwargs)
+        replays.append((start, time.perf_counter()))
+        return result
+
+    monkeypatch.setattr(xp, "prefix_replay", timed_replay)
     tracer = tracing.Tracer(w.name, 0)
     with tracer.layers_traced():
         rc = cli.main(w.argv("pipeline", corpus, out, config))
@@ -86,6 +98,14 @@ def test_benchmark_checks_pass_on_a_traced_movielens_pipeline(bench, tmp_path):
     # Both sweep coefficients fit through the name the benchmark wraps in recsys_eval.
     sweeps = [s["id"] for s in tracer.spans if s["name"] == "recsys_eval.sweep"]
     assert sum(s["name"] == "kmeans.fit" and s["parent"] in sweeps for s in tracer.spans) == 2
+    # Each curve's prefix replay runs inside that curve's span, so the spans time it.
+    curves = [s for s in tracer.spans
+              if s["name"] in ("experiment.success_curve", "experiment.quality_curve")]
+    assert len(replays) == 3
+    holders = [[s["id"] for s in curves if s["start"] <= start and end <= s["end"]]
+               for start, end in replays]
+    assert sorted(len(h) for h in holders) == [1, 1, 1], holders
+    assert len({h[0] for h in holders}) == 3, holders
 
     log = checks.CheckLog()
     checks.check_outputs(log, w, out, checks.load_matrix(w, corpus))

@@ -282,6 +282,24 @@ def test_stale_handoff_is_parsed_around(ml_file, tmp_path):
     assert _curve_artifacts(tmp_path / "out") == _curve_artifacts(tmp_path / "bare")
 
 
+def test_summary_counts_describe_the_matrix_a_stage_read(ml_file, tmp_path):
+    data = tmp_path / "ratings.dat"
+    shutil.copy(ml_file, data)
+    flags, _ = _fit_then_copy(data, tmp_path, ML_FLAGS)
+    # Append one rating by a new user after `ingest` wrote the handoff.
+    with open(data, "a") as fh:
+        fh.write("999999::1::5::1\n")
+
+    assert main(["curves", *flags]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    m = ds.build_matrix(ds.parse_movielens(data))
+    assert (m.n_users, m.n_ratings) == (41, len(ml_file.read_text().splitlines()) + 1)
+    counts = {k: summary[k] for k in ("dataset", "n_users", "n_items", "n_ratings")}
+    assert counts == {"dataset": "movielens", "n_users": m.n_users,
+                      "n_items": m.n_items, "n_ratings": m.n_ratings}
+    assert summary["matrix_source"] == "parsed"
+
+
 def test_handoff_key_differs_between_datasets(jester_file, tmp_path):
     out = tmp_path / "o"
     assert main(["ingest", "--dataset", "jester", "--input", str(jester_file),
@@ -564,6 +582,18 @@ def test_threshold_reports_a_nan_crossing_as_extrapolated(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["intersection_position"] == "beyond"
     assert summary["intersection_extrapolated"] is True
+
+
+def test_threshold_with_input_computes_missing_curves(ml_file, tmp_path):
+    flags, staged_flags = _fit_then_copy(ml_file, tmp_path, ML_FLAGS)
+    for stage in ("curves", "threshold"):
+        assert main([stage, *staged_flags]) == EXIT_OK
+
+    out, staged = tmp_path / "out", tmp_path / "bare"
+    assert not (out / "success.csv").exists()
+    assert main(["threshold", *flags]) == EXIT_OK
+    for name in ("success.csv", "success_mincohort.csv", "quality.csv", "threshold.txt"):
+        assert (out / name).read_bytes() == (staged / name).read_bytes(), name
 
 
 def test_threshold_without_curves_or_input_is_usage_error(tmp_path, capsys):

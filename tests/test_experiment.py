@@ -227,30 +227,21 @@ def test_prefix_replay_matches_csr_oracle_at_jester_scale(ordering):
     assert near_ties <= 0.01 * replay.labels.size  # the tolerance hides no systematic error
 
 
-def test_curves_take_a_shared_replay(mk_matrix):
-    m = _three_tier_matrix(mk_matrix)
-    model = fit(m, KMeansConfig(n_clusters=3, seed=0))
-    users = np.array([4, 0, 7, 4, 9])
-    both = xp.prefix_replay(model, m, np.concatenate([users, [1, 2]]), 6)
-    mine = both.take(slice(0, len(users)))
-    assert xp.success_curve(model, m, users, 6, replay=mine) == xp.success_curve(model, m, users, 6)
-    assert xp.quality_curve(model, m, users, 5, replay=mine) == xp.quality_curve(model, m, users, 5)
-    rest = both.take(slice(len(users), None))
-    assert xp.success_curve(model, m, [1, 2], 6, replay=rest) == xp.success_curve(model, m, [1, 2], 6)
-
-
-@pytest.mark.parametrize(
-    "users, t_max, ordering",
-    [([0, 4], 3, BY_ITEM_INDEX), ([4, 0, 7], 4, BY_ITEM_INDEX), ([4, 0, 7], 3, BY_TIMESTAMP)],
-    ids=["other-users", "longer-t-max", "other-ordering"],
-)
-def test_curves_reject_a_replay_that_does_not_cover_them(mk_matrix, users, t_max, ordering):
-    m = _three_tier_matrix(mk_matrix)
-    model = fit(m, KMeansConfig(n_clusters=3, seed=0))
-    replay = xp.prefix_replay(model, m, [4, 0, 7], 3)
-    for curve in (xp.success_curve, xp.quality_curve):
-        with pytest.raises(ValueError, match="replay does not cover"):
-            curve(model, m, users, t_max, ordering, replay=replay)
+@pytest.mark.parametrize("ordering", [BY_ITEM_INDEX, BY_TIMESTAMP], ids=["by_item", "by_time"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_replay_of_two_cohorts_together_is_their_separate_replays(ordering, seed):
+    # Every replay step is row-wise, so a user's labels do not depend on who
+    # else is replayed with them: each curve can replay its own cohort.
+    model, m, a, t_max = _replay_case(seed)
+    b = np.random.default_rng(seed).permutation(a)[: len(a) // 2 + 1]  # overlaps a
+    both = np.concatenate([a, b])
+    t_max = max(t_max, int(m.row_lengths()[both].min()) + 1)  # some history ends before t_max
+    joint = xp.prefix_replay(model, m, both, t_max, ordering)
+    for cohort, cols in ((a, slice(0, len(a))), (b, slice(len(a), None))):
+        alone = xp.prefix_replay(model, m, cohort, t_max, ordering)
+        assert np.array_equal(joint.labels[:, cols], alone.labels)
+        assert np.array_equal(joint.final[cols], alone.final)
 
 
 # ---------------------------------------------------------------- cohort split
