@@ -3,14 +3,19 @@
 A command runs one stage, or all of them for ``pipeline``. It checks its
 inputs, reads the rating matrix of ``--input`` once and hands it to every
 stage that needs it; each stage writes file artifacts into the output
-directory and can be re-run independently. ``ingest`` parses the input and
+directory and can be re-run independently. A stage that parses the input
 leaves the matrix there as ``matrix.bin``, keyed by a digest of the dataset
 name and the input's bytes; ``fit``, ``sweep`` and ``curves`` read that file
-when the key matches and parse the input when it does not. ``curves`` reads
-the model ``fit`` left there and ``threshold`` the curves ``curves`` left
-there. A flat ``key = value`` config file provides defaults that individual
-flags override; each command writes the fully resolved config next to its
-outputs, so any artifact can be regenerated from the directory alone.
+when the key matches and parse (and rewrite it) when it does not. ``fit``
+leaves the model as ``model.txt`` and each user's nearest centroid under it
+as ``labels.bin``, keyed by a digest of ``model.txt`` and the input key.
+``curves`` reads the model, takes the labels when their key matches and
+reassigns the users when it does not, which on a sparse matrix is the only
+thing it would import scipy for; ``threshold`` reads the curves ``curves``
+left there. A flat ``key = value`` config file provides defaults that
+individual flags override; each command writes the fully resolved config
+next to its outputs, so any artifact can be regenerated from the directory
+alone.
 
 Exit codes: 0 success, 2 usage or input error, 3 methodology error
 (degenerate model, no curve intersection), 4 internal invariant violation.
@@ -205,8 +210,10 @@ def _update_summary(out: Path, fragment: dict) -> None:
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# The parsed matrix `ingest` leaves in --out for later stages (ds.write_matrix).
+# The parsed matrix a stage leaves in --out for later stages (ds.write_matrix).
 MATRIX_FILE = "matrix.bin"
+# The labels `fit` leaves in --out for `curves` (km.save_labels).
+LABELS_FILE = "labels.bin"
 
 
 def _input_key(dataset: str, path: Path) -> str:
@@ -221,10 +228,15 @@ def _input_key(dataset: str, path: Path) -> str:
     return h.hexdigest()
 
 
+def _labels_key(out: Path, input_key: str) -> str:
+    """sha256 of model.txt's bytes and the input key: labels of this model on this input."""
+    return hashlib.sha256((out / "model.txt").read_bytes() + input_key.encode()).hexdigest()
+
+
 def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
     """The input matrix, and the summary keys naming the input, its size and where it came from.
 
-    With ``handoff`` set, the matrix `ingest` left in --out is read when its
+    With ``handoff`` set, the matrix a stage left in --out is read when its
     key matches the input's; otherwise, or when there is none, the input is
     parsed.
     """
@@ -271,13 +283,13 @@ def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
     return np.asarray(ds.sample_users(m, n, cfg.seed, among=eligible))
 
 
-def _ingest(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
+def _ingest(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     ds.export_canonical_csv(m, out / "canonical.csv")
     print(f"ingest: {m.n_users} users, {m.n_items} items, {m.n_ratings} ratings")
     return {}
 
 
-def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
+def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     if cfg.k_coeff > m.n_users:
         print(
             f"warning: k_coeff {cfg.k_coeff} exceeds the user count {m.n_users}; "
@@ -288,6 +300,7 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     kcfg = dataclasses.replace(cfg.kmeans_template(), n_clusters=k)
     model = km.fit(m, kcfg, threads=cfg.resolved_threads())
     km.save_model(model, out / "model.txt")
+    km.save_labels(model, m, out / LABELS_FILE, _labels_key(out, input_key))
     db_signed = None
     if k >= 2:
         try:
@@ -314,7 +327,7 @@ def _sweep_users(cfg: RunConfig, m: ds.RatingMatrix) -> ds.RatingMatrix:
     return ds.filter_min_ratings(m, max(cfg.min_ratings, cfg.eval_holdout + 1))
 
 
-def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
+def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     result = rv.sweep_coefficient(
         _sweep_users(cfg, m),
         cfg.coeffs,
@@ -337,10 +350,12 @@ def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
     }
 
 
-def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path) -> dict:
-    # Reloaded even right after `fit`: load_model re-derives the assignments
-    # without fit's empty-cluster repair, so a staged rerun sees the same model.
-    model = km.load_model(out / "model.txt", m)
+def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
+    # Reloaded even right after `fit`: the assignments are the nearest
+    # centroids, without fit's empty-cluster repair, so a staged rerun sees
+    # the same model.
+    labels = (out / LABELS_FILE, _labels_key(out, input_key))
+    model = km.load_model(out / "model.txt", m, labels=labels)
     users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()
 
@@ -435,13 +450,17 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
             raise UsageError(f"ordering by_timestamp needs timestamps; {cfg.dataset} input has none")
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, out)
+    key = input_summary.get("input_sha256")
+    parsed = input_summary.get("matrix_source") == "parsed"
     for name in stages:
         if name == "threshold":
             fragment = _threshold(cfg, out)
         else:
-            fragment = {**_MATRIX_STAGES[name](cfg, m, out), **input_summary}
-        if name == "ingest":
-            ds.write_matrix(m, out / MATRIX_FILE, input_summary["input_sha256"])
+            fragment = {**_MATRIX_STAGES[name](cfg, m, out, key), **input_summary}
+        if parsed:
+            # Once the first stage has succeeded, leave the parsed matrix for later runs.
+            ds.write_matrix(m, out / MATRIX_FILE, key)
+            parsed = False
         fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
         _update_summary(out, fragment)
         t0 = time.perf_counter()

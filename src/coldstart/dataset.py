@@ -14,7 +14,8 @@ first bad line. ``export_canonical_csv`` writes a matrix back out as text
 gathered from per-field tables into byte grids, with no Python code per row.
 ``write_matrix`` stores a parsed matrix under a caller's key and
 ``read_matrix`` gives it back only under that key, so that a later process
-can skip the parse.
+can skip the parse. Both go through ``write_records`` and ``read_records``,
+a keyed stream of ``.npy`` records that any other handoff file can share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -350,7 +351,7 @@ def _detect_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
-def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> RatingMatrix:
+def parse_jester(source: str | Path | IO) -> RatingMatrix:
     """Parse a Jester-style rating grid into a sparse matrix.
 
     Every row carries a declared rating count followed by 100 rating cells
@@ -358,8 +359,7 @@ def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> Rat
     99.0 sentinel are unrated and omitted from the sparse row, the rest are
     mapped from [-10, 10] onto [1, 5]. Fields are tab-separated when the
     first non-blank line holds a tab, else comma-separated. A declared count
-    that disagrees with the observed count warns, or raises when
-    ``strict_counts`` is set.
+    that disagrees with the observed count warns.
     """
     width = 101
     user_ids, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -393,9 +393,7 @@ def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> Rat
         mismatch = ~bad_head & (np.trunc(declared) != observed)
 
         # Rows are checked in file order, so the first failing row decides.
-        r = min(
-            _first(bad_head), _first(bad_cell), _first(mismatch) if strict_counts else len(grid)
-        )
+        r = min(_first(bad_head), _first(bad_cell))
         for w in np.flatnonzero(mismatch[:r]):
             warnings.warn(
                 f"line {line_nos[w]}: declared {int(declared[w])} ratings but found {observed[w]}",
@@ -405,14 +403,10 @@ def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> Rat
             line_no = int(line_nos[r])
             if bad_head[r]:
                 raise ParseError("unparseable numeric field", line_no)
-            if bad_cell[r]:
-                try:
-                    JESTER_AFFINE.normalize(cells[r, rated[r]])
-                except RatingRangeError as e:
-                    raise RatingRangeError(str(e), line_no) from None
-            raise ParseError(
-                f"declared {int(declared[r])} ratings but found {observed[r]}", line_no
-            )
+            try:
+                JESTER_AFFINE.normalize(cells[r, rated[r]])
+            except RatingRangeError as e:
+                raise RatingRangeError(str(e), line_no) from None
         if error is not None:
             raise error
 
@@ -501,33 +495,62 @@ _SCHEMES = {s.kind: s for s in (IDENTITY_1_TO_5, JESTER_AFFINE)}
 _NO_TIMESTAMPS = "none"
 
 
-def write_matrix(m: RatingMatrix, path: str | Path, key: str) -> None:
-    """Write ``m`` under ``key`` as a stream of ``.npy`` records, replacing ``path`` atomically.
+def write_records(path: str | Path, key: str, records: Sequence[np.ndarray]) -> None:
+    """Write ``key`` and then ``records`` as ``.npy`` records, replacing ``path`` atomically.
 
-    The records are the key, ``indptr``, ``indices``, ``values``,
-    ``user_ids``, ``item_ids``, the timestamps (or the string "none") and the
-    scheme's kind. The bytes depend on nothing but these, and hold no pickle.
+    The bytes depend on nothing but the key and the records, and hold no
+    pickle: ``np.savez`` is not used because its zip entries carry
+    wall-clock times.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    timestamps = np.array(_NO_TIMESTAMPS) if m.timestamps is None else m.timestamps
-    records = (
-        np.array(key), m.indptr, m.indices, m.values, m.user_ids, m.item_ids,
-        timestamps, np.array(m.scheme.kind),
-    )
     try:
         with open(tmp, "wb") as fh:
-            for record in records:
+            for record in (np.array(key), *records):
                 np.save(fh, record, allow_pickle=False)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def read_records(path: str | Path, key: str, n: int) -> list[np.ndarray] | None:
+    """The ``n`` records ``write_records`` stored at ``path`` under ``key``, else None.
+
+    None when the file is missing or holds another key. A damaged file (a
+    record that cannot be read, or bytes after the last one) raises
+    ``ValueError`` or ``OSError``; checking what the records hold is the
+    caller's job.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
+        if _text_record(np.lib.format.read_array(fh, allow_pickle=False)) != key:
+            return None
+        records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(n)]
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last record")
+    return records
+
+
 def _text_record(record: np.ndarray) -> str:
     if record.ndim != 0 or record.dtype.kind != "U":
         raise ValueError(f"expected a text record, got {record.dtype} of shape {record.shape}")
     return str(record)
+
+
+def write_matrix(m: RatingMatrix, path: str | Path, key: str) -> None:
+    """Write ``m`` under ``key`` with ``write_records``, replacing ``path`` atomically.
+
+    The records after the key are ``indptr``, ``indices``, ``values``,
+    ``user_ids``, ``item_ids``, the timestamps (or the string "none") and
+    the scheme's kind.
+    """
+    timestamps = np.array(_NO_TIMESTAMPS) if m.timestamps is None else m.timestamps
+    write_records(path, key, (
+        m.indptr, m.indices, m.values, m.user_ids, m.item_ids, timestamps, np.array(m.scheme.kind),
+    ))
 
 
 def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
@@ -538,12 +561,9 @@ def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
     the caller parses the input instead.
     """
     try:
-        with open(path, "rb") as fh:
-            if _text_record(np.lib.format.read_array(fh, allow_pickle=False)) != key:
-                return None
-            records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(7)]
-            if fh.read(1):
-                raise ValueError("trailing bytes after the last record")
+        records = read_records(path, key, 7)
+        if records is None:
+            return None
         indptr, indices, values, user_ids, item_ids, timestamps, kind = records
         if timestamps.dtype.kind == "U":
             if _text_record(timestamps) != _NO_TIMESTAMPS:
@@ -564,8 +584,6 @@ def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
             timestamps=timestamps,
         )
         m.validate()
-    except FileNotFoundError:
-        return None
     except (OSError, ValueError, TypeError, IndexError) as e:
         warnings.warn(f"ignoring unreadable matrix file {path}: {e}", stacklevel=2)
         return None

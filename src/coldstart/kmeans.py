@@ -4,9 +4,12 @@ Unrated dimensions enter distances and centroid means as 0.0. Rows meet
 centroids through one product kernel, chosen once per matrix from its fill
 ratio: a dense array multiplied by BLAS when at least ``DENSE_FILL`` of the
 cells hold a rating, the CSR matrix otherwise. The k-means++ init, every Lloyd
-assignment, the empty-cluster repair and ``load_model``'s reassignment all go
-through it, and every distance comes from one expansion, ``_sq_dists``:
-(-2·x·c + ‖x‖²) + ‖c‖². Row norms, like every other per-row sum, are a
+assignment, the empty-cluster repair and ``nearest_centroids`` (the pass that
+``load_model`` derives a saved model's assignments with, and whose result
+``save_labels`` writes) all go through it, and every distance comes from one
+expansion, ``_sq_dists``: (-2·x·c + ‖x‖²) + ‖c‖². A loaded model's
+assignments need no kernel, and so on a CSR matrix no scipy, when they are
+read from ``save_labels``' file. Row norms, like every other per-row sum, are a
 segment sum in storage order (``dataset.segment_sums``), so ``fit``,
 ``load_model``, ``sse``, Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix
 replay of a whole row all see the same norm for it. Centroid means are
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RatingMatrix, segment_ids, segment_sums
+from .dataset import RatingMatrix, read_records, segment_ids, segment_sums, write_records
 
 # Fill ratio (ratings / cells) from which rows are multiplied as a dense
 # array. Measured with one BLAS thread on random grids (2-vCPU Xeon, OpenBLAS
@@ -154,6 +158,11 @@ def fill_ratio(m: RatingMatrix) -> float:
     return m.n_ratings / cells if cells else 0.0
 
 
+def _kernel(m: RatingMatrix) -> str:
+    """The product kernel for ``m``'s rows: "dense" from ``DENSE_FILL`` filled up, else "csr"."""
+    return "dense" if fill_ratio(m) >= DENSE_FILL else "csr"
+
+
 def _kernel_rows(m: RatingMatrix):
     """The rows as the product kernel takes them, and the kernel's name.
 
@@ -161,7 +170,7 @@ def _kernel_rows(m: RatingMatrix):
     each rating into zeros: adding 0.0 turns a stored -0.0 into 0.0 as that
     sum does.
     """
-    if fill_ratio(m) >= DENSE_FILL:
+    if _kernel(m) == "dense":
         rows = np.zeros((m.n_users, m.n_items))
         rows[segment_ids(m.indptr), m.indices] = m.values
         rows += 0.0
@@ -454,8 +463,65 @@ def save_model(model: ClusterModel, path: str | Path) -> None:
         np.savetxt(fh, model.centroids, fmt="%.17g")
 
 
-def load_model(path: str | Path, m: RatingMatrix) -> ClusterModel:
-    """Read a persisted model and re-derive per-user assignments on the given matrix."""
+def nearest_centroids(m: RatingMatrix, centroids: np.ndarray) -> np.ndarray:
+    """Every row's nearest centroid, from one pass with no empty-cluster repair.
+
+    This is the pass ``load_model`` derives a saved model's assignments
+    with. It differs from ``fit``'s ``assignments`` wherever the fit's last
+    repair moved a row.
+    """
+    X, _ = _kernel_rows(m)
+    # C order, as load_model reads them: a product's last bits can depend on the layout.
+    centroids = np.ascontiguousarray(centroids)
+    with _one_blas_thread():
+        labels, _ = _assign_all(X, _row_sq_norms(m), centroids)
+    labels = labels.astype(np.int64)
+    labels.flags.writeable = False
+    return labels
+
+
+def save_labels(model: ClusterModel, m: RatingMatrix, path: str | Path, key: str) -> None:
+    """Write ``nearest_centroids(m, model.centroids)`` under ``key``, replacing ``path``.
+
+    ``save_model`` writes the centroids to 17 significant digits, which read
+    back bit for bit, so these are the labels ``load_model`` derives on ``m``
+    from the saved model, and it takes them from ``path`` instead.
+    """
+    write_records(path, key, [nearest_centroids(m, model.centroids)])
+
+
+def _read_labels(path: str | Path, key: str, k: int, n: int) -> np.ndarray | None:
+    """The labels ``save_labels`` stored at ``path`` under ``key``, else None.
+
+    None also when the file is damaged or its labels do not fit ``k``
+    clusters and ``n`` rows; then it warns.
+    """
+    try:
+        records = read_records(path, key, 1)
+        if records is None:
+            return None
+        (labels,) = records
+        if labels.dtype != np.int64 or labels.shape != (n,):
+            raise ValueError(f"expected {n} int64 labels, got {labels.dtype} {labels.shape}")
+        if n and not (0 <= labels.min() and labels.max() < k):
+            raise ValueError(f"a label lies outside [0, {k})")
+    except (OSError, ValueError) as e:
+        warnings.warn(f"ignoring unreadable labels file {path}: {e}", stacklevel=3)
+        return None
+    labels.flags.writeable = False
+    return labels
+
+
+def load_model(
+    path: str | Path, m: RatingMatrix, *, labels: tuple[str | Path, str] | None = None
+) -> ClusterModel:
+    """Read a persisted model and derive per-user assignments on the given matrix.
+
+    The assignments are ``nearest_centroids`` of the saved centroids. With
+    ``labels``, a (path, key) pair, they are read from the file
+    ``save_labels`` wrote when it holds that key; when it is missing, holds
+    another key or is damaged (the last with a warning), they are derived.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 6 or " ".join(header[:2]) != MODEL_FORMAT:
@@ -467,20 +533,18 @@ def load_model(path: str | Path, m: RatingMatrix) -> ClusterModel:
         raise ValueError(f"centroid block is {centroids.shape}, header says {(k, d)}")
     if m.n_items != d:
         raise ValueError("matrix item space does not match the model file")
-    X, kernel = _kernel_rows(m)
-    with _one_blas_thread():
-        labels, _ = _assign_all(X, _row_sq_norms(m), centroids)
+    assignments = _read_labels(*labels, k, m.n_users) if labels else None
+    if assignments is None:
+        assignments = nearest_centroids(m, centroids)
     centroids.flags.writeable = False
-    labels = labels.astype(np.int64)
-    labels.flags.writeable = False
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     h.update(m.content_digest().encode())
     return ClusterModel(
         centroids=centroids,
-        assignments=labels,
+        assignments=assignments,
         sse=file_sse,
         config_fingerprint=h.hexdigest()[:16],
         seed=seed,
-        kernel=kernel,
+        kernel=_kernel(m),
     )

@@ -129,14 +129,14 @@ def _detect_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
-def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> RatingMatrix:
+def parse_jester(source: str | Path | IO) -> RatingMatrix:
     """Parse a Jester-style rating grid into a sparse matrix.
 
     Every row carries a declared rating count followed by 100 rating cells
     (an optional leading user-id field is also accepted); cells equal to the
     99.0 sentinel are unrated and omitted from the sparse row, the rest are
     mapped from [-10, 10] onto [1, 5]. A declared count that disagrees with
-    the observed count warns, or raises when ``strict_counts`` is set.
+    the observed count warns.
     """
     indptr = [0]
     indices: list[int] = []
@@ -188,10 +188,9 @@ def parse_jester(source: str | Path | IO, *, strict_counts: bool = False) -> Rat
             indices.append(item_idx)
         observed = len(values) - row_start
         if observed != declared:
-            msg = f"line {line_no}: declared {declared} ratings but found {observed}"
-            if strict_counts:
-                raise ParseError(f"declared {declared} ratings but found {observed}", line_no)
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(
+                f"line {line_no}: declared {declared} ratings but found {observed}", stacklevel=2
+            )
         user_ids.append(user_id)
         indptr.append(len(values))
 

@@ -290,14 +290,16 @@ def test_summary_counts_describe_the_matrix_a_stage_read(ml_file, tmp_path):
     with open(data, "a") as fh:
         fh.write("999999::1::5::1\n")
 
-    assert main(["curves", *flags]) == EXIT_OK
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     m = ds.build_matrix(ds.parse_movielens(data))
     assert (m.n_users, m.n_ratings) == (41, len(ml_file.read_text().splitlines()) + 1)
-    counts = {k: summary[k] for k in ("dataset", "n_users", "n_items", "n_ratings")}
-    assert counts == {"dataset": "movielens", "n_users": m.n_users,
-                      "n_items": m.n_items, "n_ratings": m.n_ratings}
-    assert summary["matrix_source"] == "parsed"
+    # The stage that parsed rewrites the handoff, so the next one reads it.
+    for source in ("parsed", "handoff"):
+        assert main(["curves", *flags]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        counts = {k: summary[k] for k in ("dataset", "n_users", "n_items", "n_ratings")}
+        assert counts == {"dataset": "movielens", "n_users": m.n_users,
+                          "n_items": m.n_items, "n_ratings": m.n_ratings}
+        assert summary["matrix_source"] == source
 
 
 def test_handoff_key_differs_between_datasets(jester_file, tmp_path):
@@ -321,6 +323,54 @@ def test_truncated_handoff_warns_and_is_parsed_around(jester_file, tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["matrix_source"] == "parsed"
     assert _curve_artifacts(tmp_path / "out") == _curve_artifacts(tmp_path / "bare")
+
+
+# ---------------------------------------------------------------- labels handoff
+
+def _fit_labels(out, data):
+    """The key `curves` expects for the labels `fit` left in ``out``, the labels, and k."""
+    key = cli._labels_key(out, cli._input_key("movielens", data))
+    (labels,) = ds.read_records(out / cli.LABELS_FILE, key, 1)
+    return key, labels, json.loads((out / "summary.json").read_text())["n_clusters"]
+
+
+def test_edited_model_is_reassigned_not_given_fits_labels(ml_file, tmp_path):
+    flags, bare_flags = _fit_then_copy(ml_file, tmp_path, ML_FLAGS)
+    out, bare = tmp_path / "out", tmp_path / "bare"
+    (bare / cli.LABELS_FILE).unlink()
+    # Labels other than the nearest centroids, under the key `fit` used: `curves` takes them.
+    key, labels, k = _fit_labels(out, ml_file)
+    ds.write_records(out / cli.LABELS_FILE, key, [(labels + 1) % k])
+    assert main(["curves", *flags]) == EXIT_OK
+    assert main(["curves", *bare_flags]) == EXIT_OK
+    assert _curve_artifacts(out) != _curve_artifacts(bare)
+    # After one centroid digit changes, the key no longer matches, so `curves` reassigns.
+    for d in (out, bare):
+        lines = (d / "model.txt").read_text().splitlines()
+        digit = re.search(r"[1-9]", lines[1])
+        lines[1] = lines[1][: digit.start()] + str(int(digit[0]) % 9 + 1) + lines[1][digit.end():]
+        (d / "model.txt").write_text("\n".join(lines) + "\n")
+    assert main(["curves", *flags]) == EXIT_OK
+    assert main(["curves", *bare_flags]) == EXIT_OK
+    assert _curve_artifacts(out) == _curve_artifacts(bare)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "label_out_of_range"])
+def test_damaged_labels_warn_and_are_reassigned(damage, ml_file, tmp_path):
+    flags, bare_flags = _fit_then_copy(ml_file, tmp_path, ML_FLAGS)
+    out, bare = tmp_path / "out", tmp_path / "bare"
+    (bare / cli.LABELS_FILE).unlink()
+    path = out / cli.LABELS_FILE
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        key, labels, k = _fit_labels(out, ml_file)
+        ds.write_records(path, key, [np.where(np.arange(len(labels)) == 0, k, labels)])
+
+    with pytest.warns(UserWarning, match="unreadable labels file"):
+        assert main(["curves", *flags]) == EXIT_OK
+    assert main(["curves", *bare_flags]) == EXIT_OK
+    assert _curve_artifacts(out) == _curve_artifacts(bare)
 
 
 # ---------------------------------------------------------------- config handling
@@ -898,6 +948,24 @@ def test_csr_kernel_pipeline_loads_scipy_sparse_only(tmp_path):
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["kmeans_kernel"] == "csr"
     assert "scipy.sparse" in mods  # the CSR kernel and the sweep build CSR matrices
     assert not [m for m in mods if m.startswith(("scipy.spatial", "scipy.optimize"))]
+
+
+def test_csr_kernel_curves_load_no_scipy_while_fits_labels_match(tmp_path):
+    data = tmp_path / "ratings.dat"
+    _write_movielens(data, n_items=300)  # about 3 % filled: the CSR kernel
+    out = tmp_path / "o"
+    flags = ["--input", str(data), "--out", str(out), *ML_FLAGS]
+    assert main(["ingest", *flags]) == EXIT_OK
+    assert main(["fit", *flags]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["kmeans_kernel"] == "csr"
+    codes, mods = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    assert codes == [EXIT_OK]
+    assert mods == []
+    # Without the labels, `curves` reassigns every user with the CSR kernel.
+    (out / cli.LABELS_FILE).unlink()
+    codes, mods = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    assert codes == [EXIT_OK]
+    assert "scipy.sparse" in mods
 
 
 def test_module_invocation_matches_script():

@@ -134,15 +134,13 @@ def test_parse_jester_tab_delimited():
     assert m.n_ratings == 1
 
 
-def test_parse_jester_count_mismatch_warns_or_raises():
+def test_parse_jester_count_mismatch_warns():
     cells = [99.0] * 100
     cells[0] = 1.0
     text = _jester_line(5, cells) + "\n"
     with pytest.warns(UserWarning, match="declared 5"):
         m = ds.parse_jester(io.StringIO(text))
     assert m.n_ratings == 1
-    with pytest.raises(ParseError):
-        ds.parse_jester(io.StringIO(text), strict_counts=True)
 
 
 def test_parse_jester_bad_field_count():
@@ -344,14 +342,14 @@ def test_export_canonical_csv_without_timestamps(mk_matrix):
 
 # ---------------------------------------------------------------- parsers vs line-by-line oracles
 
-def _outcome(parse, text, block=None, **kwargs):
+def _outcome(parse, text, block=None):
     """(result or exception, warnings) of parsing ``text``, ``block`` lines per np.loadtxt call."""
     with warnings.catch_warnings(record=True) as caught, mock.patch.object(
         ds, "_PARSE_BLOCK", block or ds._PARSE_BLOCK
     ):
         warnings.simplefilter("always")
         try:
-            result = parse(io.StringIO(text), **kwargs)
+            result = parse(io.StringIO(text))
         except Exception as e:  # noqa: BLE001 - compared with the oracle's
             result = e
     return result, [(w.category, str(w.message)) for w in caught]
@@ -373,9 +371,9 @@ def _assert_same_error(got, want):
     assert getattr(got, "line_no", None) == getattr(want, "line_no", None)
 
 
-def _assert_same_jester(text, block, **kwargs):
-    got, got_warnings = _outcome(ds.parse_jester, text, block, **kwargs)
-    want, want_warnings = _outcome(oracle.parse_jester, text, **kwargs)
+def _assert_same_jester(text, block):
+    got, got_warnings = _outcome(ds.parse_jester, text, block)
+    want, want_warnings = _outcome(oracle.parse_jester, text)
     assert got_warnings == want_warnings
     if isinstance(want, Exception):
         _assert_same_error(got, want)
@@ -443,9 +441,9 @@ _BLOCKS = st.sampled_from([1, 2, 3, None])  # lines per np.loadtxt call; None: t
 
 
 @settings(max_examples=300, deadline=None)
-@given(jester_grids(), st.booleans(), _BLOCKS)
-def test_parse_jester_matches_line_by_line_oracle(text, strict_counts, block):
-    _assert_same_jester(text, block, strict_counts=strict_counts)
+@given(jester_grids(), _BLOCKS)
+def test_parse_jester_matches_line_by_line_oracle(text, block):
+    _assert_same_jester(text, block)
 
 
 def _grid_line(count, cells, sep=","):
@@ -476,10 +474,9 @@ _ROW = [3.5, -10, 10] + [99] * 97  # three rated cells
         _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW).replace(",", "\t"),
     ],
 )
-@pytest.mark.parametrize("strict_counts", [False, True])
 @pytest.mark.parametrize("block", [1, 2, None])
-def test_parse_jester_cases_match_oracle(text, strict_counts, block):
-    _assert_same_jester(text, block, strict_counts=strict_counts)
+def test_parse_jester_cases_match_oracle(text, block):
+    _assert_same_jester(text, block)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import sparse
 
 import kmeans_oracle as oracle
 from coldstart import kmeans as km
-from coldstart.dataset import BY_ITEM_INDEX, IDENTITY_1_TO_5, RatingMatrix
+from coldstart.dataset import BY_ITEM_INDEX, IDENTITY_1_TO_5, RatingMatrix, read_records, write_records
 from coldstart.experiment import prefix_replay
 
 
@@ -555,6 +556,81 @@ def test_load_model_rejects_garbage(tmp_path, mk_matrix):
     m = mk_matrix(np.ones((2, 2)))
     with pytest.raises(ValueError, match="coldstart-kmeans"):
         km.load_model(p, m)
+
+
+def _labels_case(kernel):
+    """A 400 x 80 matrix that takes ``kernel``, and a 40-cluster fit on it."""
+    rng = np.random.default_rng(5)
+    share = 0.6 if kernel == "dense" else 0.05
+    values = np.round(rng.uniform(-10, 10, (400, 80)), 2)
+    m = _matrix_of(sparse.csr_matrix(np.where(rng.random((400, 80)) < share, values, 0.0)))
+    model = km.fit(m, km.KMeansConfig(n_clusters=40, restarts=2, max_steps=10, seed=3))
+    assert model.kernel == kernel
+    return m, model
+
+
+@pytest.mark.parametrize("kernel", ["csr", "dense"])
+def test_saved_labels_equal_what_load_model_derives(kernel, tmp_path, monkeypatch):
+    m, model = _labels_case(kernel)
+    km.save_model(model, tmp_path / "model.txt")
+    km.save_labels(model, m, tmp_path / "labels.bin", "key-1")
+    (saved,) = read_records(tmp_path / "labels.bin", "key-1", 1)
+    derived = km.load_model(tmp_path / "model.txt", m)
+    assert saved.dtype == np.int64
+    assert np.array_equal(saved, derived.assignments)
+    # Under the key it was saved with, the file is taken and no row is reassigned.
+    monkeypatch.setattr(km, "_assign_all", None)
+    loaded = km.load_model(tmp_path / "model.txt", m, labels=(tmp_path / "labels.bin", "key-1"))
+    assert np.array_equal(loaded.assignments, saved)
+    assert not loaded.assignments.flags.writeable
+    assert (loaded.kernel, loaded.config_fingerprint) == (kernel, derived.config_fingerprint)
+
+
+def test_saved_labels_skip_the_fits_last_repair(tmp_path, mk_matrix):
+    # With four equal rows and k = 4, the repair gives one of them a cluster of
+    # its own on the same spot as another; nearest-centroid ties go to the
+    # lower index, so a reassignment takes it back.
+    m = mk_matrix([[1.0], [1.0], [1.0], [1.0], [9.0], [9.5]])
+    model = km.fit(m, km.KMeansConfig(n_clusters=4, seed=0))
+    km.save_model(model, tmp_path / "model.txt")
+    km.save_labels(model, m, tmp_path / "labels.bin", "key-1")
+    (saved,) = read_records(tmp_path / "labels.bin", "key-1", 1)
+    assert np.array_equal(saved, km.load_model(tmp_path / "model.txt", m).assignments)
+    assert not np.array_equal(saved, model.assignments)
+
+
+def test_labels_under_another_key_or_missing_are_reassigned_silently(tmp_path):
+    m, model = _labels_case("csr")
+    km.save_model(model, tmp_path / "model.txt")
+    want = km.load_model(tmp_path / "model.txt", m).assignments
+    path = tmp_path / "labels.bin"
+    write_records(path, "key-1", [(want + 1) % model.n_clusters])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in ("key-2", "key-1"):
+            got = km.load_model(tmp_path / "model.txt", m, labels=(path, key)).assignments
+            assert np.array_equal(got, want) == (key == "key-2")
+        path.unlink()
+        got = km.load_model(tmp_path / "model.txt", m, labels=(path, "key-1")).assignments
+        assert np.array_equal(got, want)
+
+
+def test_damaged_labels_file_warns_and_is_reassigned(tmp_path):
+    m, model = _labels_case("csr")
+    km.save_model(model, tmp_path / "model.txt")
+    want = km.load_model(tmp_path / "model.txt", m).assignments
+    k, path = model.n_clusters, tmp_path / "labels.bin"
+    write_records(path, "key", [want])
+    whole = path.read_bytes()
+    damaged = [whole[: len(whole) // 2], whole + b"\0"]
+    for labels in (want.astype(np.int32), want[:-1], want.reshape(-1, 1), want - 1, want + k):
+        write_records(path, "key", [labels])
+        damaged.append(path.read_bytes())
+    for data in damaged:
+        path.write_bytes(data)
+        with pytest.warns(UserWarning, match="unreadable labels file"):
+            got = km.load_model(tmp_path / "model.txt", m, labels=(path, "key"))
+        assert np.array_equal(got.assignments, want)
 
 
 def test_sse_recompute_matches_fit(mk_matrix):
