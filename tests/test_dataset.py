@@ -342,14 +342,17 @@ def test_export_canonical_csv_without_timestamps(mk_matrix):
 
 # ---------------------------------------------------------------- parsers vs line-by-line oracles
 
-def _outcome(parse, text, block=None):
-    """(result or exception, warnings) of parsing ``text``, ``block`` lines per np.loadtxt call."""
+def _outcome(parse, text, block=None, source=None):
+    """(result or exception, warnings) of parsing ``text``, ``block`` lines per np.loadtxt call.
+
+    ``source`` is what ``parse`` reads ``text`` from; a text stream if None.
+    """
     with warnings.catch_warnings(record=True) as caught, mock.patch.object(
         ds, "_PARSE_BLOCK", block or ds._PARSE_BLOCK
     ):
         warnings.simplefilter("always")
         try:
-            result = parse(io.StringIO(text))
+            result = parse(io.StringIO(text) if source is None else source)
         except Exception as e:  # noqa: BLE001 - compared with the oracle's
             result = e
     return result, [(w.category, str(w.message)) for w in caught]
@@ -371,8 +374,8 @@ def _assert_same_error(got, want):
     assert getattr(got, "line_no", None) == getattr(want, "line_no", None)
 
 
-def _assert_same_jester(text, block):
-    got, got_warnings = _outcome(ds.parse_jester, text, block)
+def _assert_same_jester(text, block, source=None):
+    got, got_warnings = _outcome(ds.parse_jester, text, block, source)
     want, want_warnings = _outcome(oracle.parse_jester, text)
     assert got_warnings == want_warnings
     if isinstance(want, Exception):
@@ -381,8 +384,8 @@ def _assert_same_jester(text, block):
         _assert_same_matrix(got, want)
 
 
-def _assert_same_movielens(text, block):
-    got, got_warnings = _outcome(ds.parse_movielens, text, block)
+def _assert_same_movielens(text, block, source=None):
+    got, got_warnings = _outcome(ds.parse_movielens, text, block, source)
     want, want_warnings = _outcome(oracle.parse_movielens, text)
     assert got_warnings == want_warnings == []
     if isinstance(want, Exception):
@@ -394,6 +397,15 @@ def _assert_same_movielens(text, block):
         x = getattr(got, name)
         assert x.dtype == column.dtype and x.tobytes() == column.tobytes(), name
     _assert_same_matrix(ds.build_matrix(got), oracle.build_matrix(want))
+
+
+def _source(kind, text, tmp_path):
+    """``text`` as a parser's other inputs: a file path, or a stream of bytes lines."""
+    if kind == "bytes":
+        return io.BytesIO(text.encode())
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    return path
 
 
 _SENTINELS = ["99", "99.0", "99.00000000001"]
@@ -453,30 +465,36 @@ def _grid_line(count, cells, sep=","):
 _ROW = [3.5, -10, 10] + [99] * 97  # three rated cells
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "\n  \n\t\n",
-        _grid_line(3, _ROW) + "\n   \n\n" + _grid_line(3, _ROW) + "\n",
-        " \t \n" + _grid_line(3, _ROW, "\t") + "\n" + _grid_line(3, _ROW, "\t"),
-        "12," + _grid_line(3, _ROW) + "\n-4," + _grid_line(3, _ROW),
-        _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW[:99]),
-        _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW + [99]),
-        _grid_line(3, _ROW[:98]),
-        _grid_line(4, _ROW) + "\n" + _grid_line(3, _ROW[:3] + ["nan"] + _ROW[4:]),
-        _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["inf"] + _ROW[4:]),
-        _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["-inf"] + _ROW[4:]),
-        _grid_line(4, _ROW[:3] + [10.5] + _ROW[4:]) + "\n" + _grid_line(3, _ROW[:99] + ["x"]),
-        _grid_line(5, _ROW) + "\n" + _grid_line(2, _ROW) + "\n" + _grid_line(3, _ROW[:50]),
-        _grid_line(5, _ROW) + "\n" + _grid_line("nan", _ROW) + "\n" + _grid_line(1, _ROW),
-        "inf," + _grid_line(3, _ROW),
-        _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW).replace(",", "\t"),
-    ],
-)
+_JESTER_CASES = [
+    "",
+    "\n  \n\t\n",
+    _grid_line(3, _ROW) + "\n   \n\n" + _grid_line(3, _ROW) + "\n",
+    " \t \n" + _grid_line(3, _ROW, "\t") + "\n" + _grid_line(3, _ROW, "\t"),
+    "12," + _grid_line(3, _ROW) + "\n-4," + _grid_line(3, _ROW),
+    _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW[:99]),
+    _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW + [99]),
+    _grid_line(3, _ROW[:98]),
+    _grid_line(4, _ROW) + "\n" + _grid_line(3, _ROW[:3] + ["nan"] + _ROW[4:]),
+    _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["inf"] + _ROW[4:]),
+    _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["-inf"] + _ROW[4:]),
+    _grid_line(4, _ROW[:3] + [10.5] + _ROW[4:]) + "\n" + _grid_line(3, _ROW[:99] + ["x"]),
+    _grid_line(5, _ROW) + "\n" + _grid_line(2, _ROW) + "\n" + _grid_line(3, _ROW[:50]),
+    _grid_line(5, _ROW) + "\n" + _grid_line("nan", _ROW) + "\n" + _grid_line(1, _ROW),
+    "inf," + _grid_line(3, _ROW),
+    _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW).replace(",", "\t"),
+]
+
+
+@pytest.mark.parametrize("text", _JESTER_CASES)
 @pytest.mark.parametrize("block", [1, 2, None])
 def test_parse_jester_cases_match_oracle(text, block):
     _assert_same_jester(text, block)
+
+
+@pytest.mark.parametrize("text", _JESTER_CASES)
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_parse_jester_reads_a_path_or_bytes_like_text(text, kind, tmp_path):
+    _assert_same_jester(text, None, _source(kind, text, tmp_path))
 
 
 @st.composite
@@ -517,30 +535,36 @@ def test_parse_movielens_matches_line_by_line_oracle(text, block):
     _assert_same_movielens(text, block)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "\n \n\t\n",
-        "1::2::3::4\n\n  \n2::2::4.5::5\n",
-        "1:2::3::4\n",
-        "1::2:::3::4\n",
-        "1::2::3\n",
-        "1::2::3::4::5\n",
-        "1::2::3::4\n-1::2::3::4\n",
-        "1::2::3::4\n1::-2::3::4\n1::2::x::4\n",
-        "1::2::6::4\n1::2\n",
-        "1::2::nan::4\n",
-        "1::2::inf::4\n",
-        "1::2::3::4\n1::2::5::6\n3::1::1::2\n1::2::2::9\n",
-        "1 :: 2 :: 3 :: 4\n",
-        "+1::2::3::-4\n",
-        "1::2::3::4.0\n",
-    ],
-)
+_MOVIELENS_CASES = [
+    "",
+    "\n \n\t\n",
+    "1::2::3::4\n\n  \n2::2::4.5::5\n",
+    "1:2::3::4\n",
+    "1::2:::3::4\n",
+    "1::2::3\n",
+    "1::2::3::4::5\n",
+    "1::2::3::4\n-1::2::3::4\n",
+    "1::2::3::4\n1::-2::3::4\n1::2::x::4\n",
+    "1::2::6::4\n1::2\n",
+    "1::2::nan::4\n",
+    "1::2::inf::4\n",
+    "1::2::3::4\n1::2::5::6\n3::1::1::2\n1::2::2::9\n",
+    "1 :: 2 :: 3 :: 4\n",
+    "+1::2::3::-4\n",
+    "1::2::3::4.0\n",
+]
+
+
+@pytest.mark.parametrize("text", _MOVIELENS_CASES)
 @pytest.mark.parametrize("block", [1, 2, None])
 def test_parse_movielens_cases_match_oracle(text, block):
     _assert_same_movielens(text, block)
+
+
+@pytest.mark.parametrize("text", _MOVIELENS_CASES)
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_parse_movielens_reads_a_path_or_bytes_like_text(text, kind, tmp_path):
+    _assert_same_movielens(text, None, _source(kind, text, tmp_path))
 
 
 def test_parse_jester_rejects_id_beyond_int64():
