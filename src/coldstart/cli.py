@@ -8,7 +8,9 @@ leaves the matrix there as ``matrix.bin``, keyed by a digest of the dataset
 name and the input's bytes; ``fit``, ``sweep`` and ``curves`` read that file
 when the key matches and parse (and rewrite it) when it does not. ``fit``
 leaves the model as ``model.txt`` and each user's nearest centroid under it
-as ``labels.bin``, keyed by a digest of ``model.txt`` and the input key.
+as ``labels.bin``, keyed by a digest of the centroids and the input key
+(``kmeans.labels_key``). The input key is the only digest of the input; the
+config fingerprint in ``summary.json`` hashes it with the k-means settings.
 ``curves`` reads the model, takes the labels when their key matches and
 reassigns the users when it does not, which on a sparse matrix is the only
 thing it would import scipy for; ``threshold`` reads the curves ``curves``
@@ -19,6 +21,9 @@ alone.
 
 Exit codes: 0 success, 2 usage or input error, 3 methodology error
 (degenerate model, no curve intersection), 4 internal invariant violation.
+When the quality curves do not cross, ``threshold`` has already written
+``threshold.txt`` and merges its breakpoint into ``summary.json``, with every
+crossing key null, before it exits 3.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from . import experiment as xp
 from . import kmeans as km
 from . import quality as ql
 from . import recsys_eval as rv
-from .errors import MethodologyError, ParseError
+from .errors import MethodologyError, NoIntersectionError, ParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -228,11 +233,6 @@ def _input_key(dataset: str, path: Path) -> str:
     return h.hexdigest()
 
 
-def _labels_key(out: Path, input_key: str) -> str:
-    """sha256 of model.txt's bytes and the input key: labels of this model on this input."""
-    return hashlib.sha256((out / "model.txt").read_bytes() + input_key.encode()).hexdigest()
-
-
 def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
     """The input matrix, and the summary keys naming the input, its size and where it came from.
 
@@ -300,7 +300,7 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     kcfg = dataclasses.replace(cfg.kmeans_template(), n_clusters=k)
     model = km.fit(m, kcfg, threads=cfg.resolved_threads())
     km.save_model(model, out / "model.txt")
-    km.save_labels(model, m, out / LABELS_FILE, _labels_key(out, input_key))
+    km.save_labels(model, m, out / LABELS_FILE, input_key)
     db_signed = None
     if k >= 2:
         try:
@@ -309,6 +309,7 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
             print(f"warning: cluster quality unavailable: {e}", file=sys.stderr)
     db_text = "n/a" if db_signed is None else repr(db_signed)
     print(f"fit: n_clusters={k} sse={model.sse!r} db_signed={db_text}")
+    fingerprint = hashlib.sha256((repr(kcfg) + input_key).encode()).hexdigest()[:16]
     return {
         "n_clusters": k,
         "sse": model.sse,
@@ -317,7 +318,7 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
         "kmeans_fill_ratio": km.fill_ratio(m),
         "kmeans_blas_thread_cap": km.blas_thread_cap_found(),
         "kmeans_restarts": [r._asdict() for r in model.restarts],
-        "kmeans_config_fingerprint": model.config_fingerprint,
+        "kmeans_config_fingerprint": fingerprint,
         "numpy_version": np.__version__,
     }
 
@@ -354,8 +355,7 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> di
     # Reloaded even right after `fit`: the assignments are the nearest
     # centroids, without fit's empty-cluster repair, so a staged rerun sees
     # the same model.
-    labels = (out / LABELS_FILE, _labels_key(out, input_key))
-    model = km.load_model(out / "model.txt", m, labels=labels)
+    model = km.load_model(out / "model.txt", m, labels=(out / LABELS_FILE, input_key))
     users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()
 
@@ -378,13 +378,33 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> di
     return fragment
 
 
+# The summary keys of the quality-curve crossing, null when there is none.
+_INTERSECTION_KEYS = (
+    "intersection_t_cross",
+    "intersection_log_fit_a",
+    "intersection_log_fit_b",
+    "intersection_extrapolated",
+    "intersection_position",
+)
+
+
 def _threshold(cfg: RunConfig, out: Path) -> dict:
     success = xp.read_success_csv(out / "success.csv")
     quality_c = xp.read_quality_csv(out / "quality.csv")
 
     report = xp.detect_breakpoint(success, method=cfg.breakpoint_method)
     xp.write_breakpoint_report(report, out / "threshold.txt")
-    inter = xp.regression_intersection(quality_c)
+    fragment = {
+        "breakpoint_t_star": report.t_star,
+        "breakpoint_method": report.method,
+        "breakpoint_total_sse": report.total_sse,
+    }
+    try:
+        inter = xp.regression_intersection(quality_c)
+    except NoIntersectionError:
+        # t* stands without a crossing; an earlier run's crossing must not.
+        _update_summary(out, {**fragment, **dict.fromkeys(_INTERSECTION_KEYS)})
+        raise
     where = ""
     if inter.extrapolated:
         edge = quality_c.points[0 if inter.position == "before" else -1].t
@@ -393,16 +413,8 @@ def _threshold(cfg: RunConfig, out: Path) -> dict:
         f"threshold: t_star={report.t_star} ({report.method}), "
         f"quality curves cross at t={inter.t_cross:.3f}{where}"
     )
-    return {
-        "breakpoint_t_star": report.t_star,
-        "breakpoint_method": report.method,
-        "breakpoint_total_sse": report.total_sse,
-        "intersection_t_cross": inter.t_cross,
-        "intersection_log_fit_a": inter.log_fit[0],
-        "intersection_log_fit_b": inter.log_fit[1],
-        "intersection_extrapolated": inter.extrapolated,
-        "intersection_position": inter.position,
-    }
+    crossing = (inter.t_cross, *inter.log_fit, inter.extrapolated, inter.position)
+    return {**fragment, **dict(zip(_INTERSECTION_KEYS, crossing))}
 
 
 # Stages that read the input matrix, in pipeline order; `threshold` reads

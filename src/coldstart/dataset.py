@@ -172,32 +172,6 @@ class RatingMatrix:
             (self.values, self.indices, self.indptr), shape=(self.n_users, self.n_items)
         )
 
-    def content_digest(self) -> str:
-        """Short hash of the shape, the CSR arrays, the timestamps and both id maps.
-
-        Each array is framed by its name, dtype and length, so two matrices
-        digest alike only when every one of those is equal.
-        """
-        import hashlib
-
-        h = hashlib.sha256(f"{self.n_users} {self.n_items}\n".encode())
-        arrays = {
-            "indptr": self.indptr,
-            "indices": self.indices,
-            "values": self.values,
-            "timestamps": self.timestamps,
-            "user_ids": self.user_ids,
-            "item_ids": self.item_ids,
-        }
-        for name, arr in arrays.items():
-            if arr is None:
-                h.update(f"{name} none\n".encode())
-                continue
-            arr = np.ascontiguousarray(arr)
-            h.update(f"{name} {arr.dtype.str} {arr.size}\n".encode())
-            h.update(arr.tobytes())
-        return h.hexdigest()[:16]
-
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
         if self.indptr.shape != (self.n_users + 1,):

@@ -9,12 +9,14 @@ assignment, the empty-cluster repair and ``nearest_centroids`` (the pass that
 ``save_labels`` writes) all go through it, and every distance comes from one
 expansion, ``_sq_dists``: (-2·x·c + ‖x‖²) + ‖c‖². A loaded model's
 assignments need no kernel, and so on a CSR matrix no scipy, when they are
-read from ``save_labels``' file. Row norms, like every other per-row sum, are a
-segment sum in storage order (``dataset.segment_sums``), so ``fit``,
-``load_model``, ``sse``, Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix
-replay of a whole row all see the same norm for it. Centroid means are
-always a segment sum over the matrix's own CSR arrays, so they do not depend
-on the kernel, and the dense kernel needs no scipy at all.
+read from ``save_labels``' file, keyed by what they depend on: the
+centroids' bytes and the caller's key for the input (``labels_key``). Row
+norms, like every other per-row sum, are a segment sum in storage order
+(``dataset.segment_sums``), so ``fit``, ``load_model``, ``sse``,
+Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix replay of a whole row all
+see the same norm for it. Centroid means are always a segment sum over the
+matrix's own CSR arrays, so they do not depend on the kernel, and the dense
+kernel needs no scipy at all.
 
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
 thread count: restarts are the only parallel level, each one runs whole on one
@@ -54,6 +56,7 @@ _CHUNK = 8192  # CSR rows per distance block
 _DENSE_CHUNK = 1024
 
 MODEL_FORMAT = "coldstart-kmeans v1"
+LABELS_FORMAT = "coldstart-labels v1"
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,6 @@ class ClusterModel:
     centroids: np.ndarray
     assignments: np.ndarray
     sse: float
-    config_fingerprint: str
     seed: int = 0
     step_sse: tuple[tuple[float, ...], ...] | None = None
     restarts: tuple[RestartRecord, ...] | None = None
@@ -346,13 +348,6 @@ def _lloyd(
         centroids = new_centroids
 
 
-def _fingerprint(cfg: KMeansConfig, m: RatingMatrix) -> str:
-    h = hashlib.sha256()
-    h.update(repr(cfg).encode())
-    h.update(m.content_digest().encode())
-    return h.hexdigest()[:16]
-
-
 def fit(
     m: RatingMatrix,
     cfg: KMeansConfig,
@@ -405,7 +400,6 @@ def fit(
         centroids=centroids,
         assignments=labels,
         sse=best_sse,
-        config_fingerprint=_fingerprint(cfg, m),
         seed=cfg.seed,
         step_sse=tuple(histories) if collect_step_sse else None,
         restarts=tuple(records),
@@ -480,24 +474,42 @@ def nearest_centroids(m: RatingMatrix, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def save_labels(model: ClusterModel, m: RatingMatrix, path: str | Path, key: str) -> None:
-    """Write ``nearest_centroids(m, model.centroids)`` under ``key``, replacing ``path``.
+def labels_key(centroids: np.ndarray, input_key: str) -> str:
+    """sha256 of a format tag, the centroids' shape and C-order bytes, and ``input_key``.
 
-    ``save_model`` writes the centroids to 17 significant digits, which read
-    back bit for bit, so these are the labels ``load_model`` derives on ``m``
-    from the saved model, and it takes them from ``path`` instead.
+    ``save_model``'s centroids read back bit for bit, so a fitted model and
+    the same model loaded give one key, and any changed centroid changes it.
     """
-    write_records(path, key, [nearest_centroids(m, model.centroids)])
+    c = np.ascontiguousarray(centroids, dtype=np.float64)
+    h = hashlib.sha256(f"{LABELS_FORMAT} {c.shape[0]} {c.shape[1]}\n".encode())
+    h.update(c)
+    h.update(input_key.encode())
+    return h.hexdigest()
 
 
-def _read_labels(path: str | Path, key: str, k: int, n: int) -> np.ndarray | None:
-    """The labels ``save_labels`` stored at ``path`` under ``key``, else None.
+def save_labels(model: ClusterModel, m: RatingMatrix, path: str | Path, input_key: str) -> None:
+    """Write ``nearest_centroids(m, model.centroids)`` to ``path``, replacing it.
 
-    None also when the file is damaged or its labels do not fit ``k``
-    clusters and ``n`` rows; then it warns.
+    ``input_key`` names the input ``m`` was read from; the file is keyed by
+    ``labels_key`` of it and the centroids. These are the labels
+    ``load_model`` derives on ``m`` from the saved model, and it takes them
+    from ``path`` instead.
     """
+    labels = nearest_centroids(m, model.centroids)
+    write_records(path, labels_key(model.centroids, input_key), [labels])
+
+
+def _read_labels(
+    path: str | Path, input_key: str, centroids: np.ndarray, n: int
+) -> np.ndarray | None:
+    """The labels ``save_labels`` stored at ``path`` for ``centroids`` on ``input_key``, else None.
+
+    None also when the file is damaged or its labels do not fit the ``k``
+    centroids and ``n`` rows; then it warns.
+    """
+    k = len(centroids)
     try:
-        records = read_records(path, key, 1)
+        records = read_records(path, labels_key(centroids, input_key), 1)
         if records is None:
             return None
         (labels,) = records
@@ -518,9 +530,10 @@ def load_model(
     """Read a persisted model and derive per-user assignments on the given matrix.
 
     The assignments are ``nearest_centroids`` of the saved centroids. With
-    ``labels``, a (path, key) pair, they are read from the file
-    ``save_labels`` wrote when it holds that key; when it is missing, holds
-    another key or is damaged (the last with a warning), they are derived.
+    ``labels``, a (path, input key) pair, they are read from the file
+    ``save_labels`` wrote for these centroids on that input; when it is
+    missing, holds another key or is damaged (the last with a warning), they
+    are derived.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -533,18 +546,14 @@ def load_model(
         raise ValueError(f"centroid block is {centroids.shape}, header says {(k, d)}")
     if m.n_items != d:
         raise ValueError("matrix item space does not match the model file")
-    assignments = _read_labels(*labels, k, m.n_users) if labels else None
+    assignments = _read_labels(*labels, centroids, m.n_users) if labels else None
     if assignments is None:
         assignments = nearest_centroids(m, centroids)
     centroids.flags.writeable = False
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    h.update(m.content_digest().encode())
     return ClusterModel(
         centroids=centroids,
         assignments=assignments,
         sse=file_sse,
-        config_fingerprint=h.hexdigest()[:16],
         seed=seed,
         kernel=_kernel(m),
     )

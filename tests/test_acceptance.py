@@ -192,7 +192,6 @@ def test_criterion_1_davies_bouldin_oracle(capsys):
             centroids=centroids,
             assignments=labels.astype(np.int64),
             sse=0.0,
-            config_fingerprint="oracle",
         )
         got = ql.davies_bouldin(model, m)
         _, _, want = brute_force_db(centroids, labels, dense)

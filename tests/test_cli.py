@@ -329,9 +329,11 @@ def test_truncated_handoff_warns_and_is_parsed_around(jester_file, tmp_path):
 
 def _fit_labels(out, data):
     """The key `curves` expects for the labels `fit` left in ``out``, the labels, and k."""
-    key = cli._labels_key(out, cli._input_key("movielens", data))
+    input_key = cli._input_key("movielens", data)
+    model = km.load_model(out / "model.txt", ds.read_matrix(out / cli.MATRIX_FILE, input_key))
+    key = km.labels_key(model.centroids, input_key)
     (labels,) = ds.read_records(out / cli.LABELS_FILE, key, 1)
-    return key, labels, json.loads((out / "summary.json").read_text())["n_clusters"]
+    return key, labels, model.n_clusters
 
 
 def test_edited_model_is_reassigned_not_given_fits_labels(ml_file, tmp_path):
@@ -530,15 +532,25 @@ def test_fit_summary_records_each_restart(jester_file, tmp_path):
 
 
 def test_fit_summary_records_config_fingerprint_and_numpy_version(jester_file, tmp_path):
-    flags = ["--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10"]
-    summaries = []
-    for out in (tmp_path / "a", tmp_path / "b"):
-        assert main(["fit", *flags, "--out", str(out)]) == EXIT_OK
-        summaries.append(json.loads((out / "summary.json").read_text()))
-    first, second = summaries
-    assert re.fullmatch(r"[0-9a-f]{16}", first["kmeans_config_fingerprint"])
-    assert first["kmeans_config_fingerprint"] == second["kmeans_config_fingerprint"]
-    assert first["numpy_version"] == second["numpy_version"] == np.__version__
+    # One rating digit of user 1 (mean 1.0, so the edit stays in range) changes.
+    edited = tmp_path / "edited.csv"
+    lines = jester_file.read_text().splitlines()
+    dot = lines[1].index(".") + 1
+    lines[1] = lines[1][:dot] + str((int(lines[1][dot]) + 1) % 10) + lines[1][dot + 1:]
+    edited.write_text("\n".join(lines) + "\n")
+    runs = {"a": (jester_file, "10"), "b": (jester_file, "10"),
+            "edited": (edited, "10"), "k_coeff": (jester_file, "5")}
+    summaries = {}
+    for name, (data, k_coeff) in runs.items():
+        out = tmp_path / name
+        assert main(["fit", "--dataset", "jester", "--input", str(data),
+                     "--k-coeff", k_coeff, "--out", str(out)]) == EXIT_OK
+        summaries[name] = json.loads((out / "summary.json").read_text())
+    prints = {name: s["kmeans_config_fingerprint"] for name, s in summaries.items()}
+    assert re.fullmatch(r"[0-9a-f]{16}", prints["a"])
+    assert prints["a"] == prints["b"]
+    assert len({prints["a"], prints["edited"], prints["k_coeff"]}) == 3, prints
+    assert summaries["a"]["numpy_version"] == summaries["b"]["numpy_version"] == np.__version__
 
 
 def test_ingest_writes_the_csv_writer_export(ml_file, tmp_path):
@@ -582,11 +594,12 @@ def test_sweep_without_coeffs_is_usage_error(jester_file, tmp_path, capsys):
     assert "coeffs" in capsys.readouterr().err
 
 
-def _write_curves(out, quality_offset):
-    """A success curve with a knee at t = 10, and a rising log quality curve over t = 1..20.
+def _write_curves(out, quality_offset, slope=0.5):
+    """A success curve with a knee at t = 10, and a log quality curve over t = 1..20.
 
-    The quality curve is -2 + 0.5 ln t against a reference of -2 - quality_offset:
-    it starts above its reference when the offset is positive.
+    The quality curve is -2 + slope ln t against a reference of -2 - quality_offset:
+    it starts above its reference when the offset is positive, and it falls
+    when the slope is negative.
     """
     out.mkdir(parents=True, exist_ok=True)
     ts = np.arange(1, 21)
@@ -597,7 +610,7 @@ def _write_curves(out, quality_offset):
     )
     ref = -2.0 - quality_offset
     xp.write_quality_csv(
-        xp.QualityCurve(tuple(xp.QualityPoint(int(t), float(-2.0 + 0.5 * np.log(t)), ref) for t in ts)),
+        xp.QualityCurve(tuple(xp.QualityPoint(int(t), float(-2.0 + slope * np.log(t)), ref) for t in ts)),
         out / "quality.csv",
     )
 
@@ -632,6 +645,27 @@ def test_threshold_reports_a_nan_crossing_as_extrapolated(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["intersection_position"] == "beyond"
     assert summary["intersection_extrapolated"] is True
+
+
+def test_threshold_without_a_crossing_records_t_star_and_clears_the_crossing(tmp_path, capsys):
+    out = tmp_path / "o"
+    _write_curves(out, -1.0, slope=-0.5)
+    # An earlier run's breakpoint and crossing.
+    earlier = {"breakpoint_t_star": 4, "intersection_t_cross": 7.4,
+               "intersection_position": "within", "sse": 1.5}
+    (out / "summary.json").write_text(json.dumps(earlier))
+    rc = main(["threshold", "--dataset", "jester", "--out", str(out)])
+    assert rc == EXIT_METHODOLOGY
+    assert "do not cross" in capsys.readouterr().err
+    t_star = re.search(r"^t_star=(\d+)$", (out / "threshold.txt").read_text(), re.M)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["breakpoint_t_star"] == int(t_star[1]) == 10
+    assert summary["breakpoint_method"] == "segmented_linear"
+    assert "breakpoint_total_sse" in summary
+    crossing = {k: v for k, v in summary.items() if k.startswith("intersection_")}
+    names = ("t_cross", "log_fit_a", "log_fit_b", "extrapolated", "position")
+    assert crossing == {f"intersection_{name}": None for name in names}
+    assert summary["sse"] == 1.5
 
 
 def test_threshold_with_input_computes_missing_curves(ml_file, tmp_path):

@@ -219,27 +219,6 @@ def test_sample_users_reproducible(mk_matrix):
         ds.sample_users(m, 31, seed=0)
 
 
-# ---------------------------------------------------------------- digest
-
-def test_content_digest_covers_timestamps_ids_and_item_count():
-    m = matrix_from_dense([[1.0, np.nan], [2.0, 3.0]], timestamps=[[10, 0], [20, 30]])
-    variants = {
-        "reversed timestamps": dataclasses.replace(m, timestamps=m.timestamps[::-1].copy()),
-        "no timestamps": dataclasses.replace(m, timestamps=None),
-        "other user ids": dataclasses.replace(m, user_ids=m.user_ids + 100),
-        "other item ids": dataclasses.replace(m, item_ids=m.item_ids + 100),
-        "an unrated item more": dataclasses.replace(
-            m, n_items=3, item_ids=np.arange(3, dtype=np.int64)
-        ),
-    }
-    variants["both"] = dataclasses.replace(
-        variants["reversed timestamps"], user_ids=m.user_ids + 100
-    )
-    digests = {name: v.content_digest() for name, v in variants.items()}
-    assert m.content_digest() == dataclasses.replace(m).content_digest()
-    assert len({m.content_digest(), *digests.values()}) == 1 + len(variants), digests
-
-
 # ---------------------------------------------------------------- segment sums
 
 @st.composite
@@ -602,11 +581,13 @@ def test_written_matrix_reads_back_as_parsed(dataset, tmp_path):
     path = tmp_path / "matrix.bin"
     ds.write_matrix(m, path, "key-1")
     got = ds.read_matrix(path, "key-1")
-    assert got.content_digest() == m.content_digest()
     assert (got.n_users, got.n_items, got.scheme) == (m.n_users, m.n_items, m.scheme)
     for name in ("indptr", "indices", "values", "user_ids", "item_ids", "timestamps"):
         want, have = getattr(m, name), getattr(got, name)
-        assert (have is None) if want is None else (have.dtype == want.dtype), name
+        if want is None:
+            assert have is None, name
+        else:
+            assert have.dtype == want.dtype and np.array_equal(have, want), name
     assert (m.timestamps is None) == (dataset == "jester")
     assert m.row_length(1) == (0 if dataset == "jester" else 2)
     # The bytes depend only on the matrix and the key, and no temporary file stays.

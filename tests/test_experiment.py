@@ -157,7 +157,6 @@ def _replay_case(seed):
         centroids=centroids,
         assignments=np.zeros(n_users, dtype=np.int64),
         sse=0.0,
-        config_fingerprint="test",
     )
     users = rng.integers(0, n_users, int(rng.integers(1, 2 * n_users + 1)))
     return model, m, users, int(rng.integers(1, n_items + 3))

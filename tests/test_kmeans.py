@@ -61,7 +61,6 @@ def test_fit_is_deterministic(mk_matrix):
     assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(a.assignments, b.assignments)
     assert a.sse == b.sse
-    assert a.config_fingerprint == b.config_fingerprint
 
 
 def test_fit_threads_do_not_change_result(mk_matrix):
@@ -369,7 +368,7 @@ def test_load_model_labels_match_the_replay_final(tmp_path_factory, seed):
     centroids[rng.integers(0, len(centroids))] = centroids[0]  # a duplicate
     model = km.ClusterModel(
         centroids=centroids, assignments=np.zeros(m.n_users, dtype=np.int64),
-        sse=0.0, config_fingerprint="saved",
+        sse=0.0,
     )
     path = tmp_path_factory.mktemp("model") / "model.txt"
     km.save_model(model, path)
@@ -443,7 +442,6 @@ def _one_centroid(centroid):
         centroids=np.asarray([centroid], dtype=np.float64),
         assignments=np.zeros(1, dtype=np.int64),
         sse=0.0,
-        config_fingerprint="one",
     )
 
 
@@ -504,7 +502,6 @@ def test_assign_tie_goes_to_lowest_index():
         centroids=centroids,
         assignments=np.array([0, 1]),
         sse=0.0,
-        config_fingerprint="toy",
     )
     label, dist = km.assign(model, (np.array([1]), np.array([2.0])))
     # both centroids are at squared distance 1 + 4 = 5 from (0, 2)
@@ -522,7 +519,6 @@ def test_assign_is_argmin_of_sq_euclidean(seed):
         centroids=centroids,
         assignments=np.zeros(1, dtype=np.int64),
         sse=0.0,
-        config_fingerprint="prop",
     )
     mask = rng.random(d) < 0.7
     idx = np.flatnonzero(mask)
@@ -570,11 +566,24 @@ def _labels_case(kernel):
 
 
 @pytest.mark.parametrize("kernel", ["csr", "dense"])
+def test_labels_key_survives_save_and_load_and_names_centroids_and_input(kernel, tmp_path):
+    m, model = _labels_case(kernel)
+    km.save_model(model, tmp_path / "model.txt")
+    loaded = km.load_model(tmp_path / "model.txt", m)
+    key = km.labels_key(model.centroids, "input-1")
+    assert km.labels_key(loaded.centroids, "input-1") == key
+    assert km.labels_key(model.centroids, "input-2") != key
+    moved = model.centroids.copy()
+    moved[7, 3] = np.nextafter(moved[7, 3], np.inf)
+    assert km.labels_key(moved, "input-1") != key
+
+
+@pytest.mark.parametrize("kernel", ["csr", "dense"])
 def test_saved_labels_equal_what_load_model_derives(kernel, tmp_path, monkeypatch):
     m, model = _labels_case(kernel)
     km.save_model(model, tmp_path / "model.txt")
     km.save_labels(model, m, tmp_path / "labels.bin", "key-1")
-    (saved,) = read_records(tmp_path / "labels.bin", "key-1", 1)
+    (saved,) = read_records(tmp_path / "labels.bin", km.labels_key(model.centroids, "key-1"), 1)
     derived = km.load_model(tmp_path / "model.txt", m)
     assert saved.dtype == np.int64
     assert np.array_equal(saved, derived.assignments)
@@ -583,7 +592,7 @@ def test_saved_labels_equal_what_load_model_derives(kernel, tmp_path, monkeypatc
     loaded = km.load_model(tmp_path / "model.txt", m, labels=(tmp_path / "labels.bin", "key-1"))
     assert np.array_equal(loaded.assignments, saved)
     assert not loaded.assignments.flags.writeable
-    assert (loaded.kernel, loaded.config_fingerprint) == (kernel, derived.config_fingerprint)
+    assert loaded.kernel == kernel
 
 
 def test_saved_labels_skip_the_fits_last_repair(tmp_path, mk_matrix):
@@ -594,7 +603,7 @@ def test_saved_labels_skip_the_fits_last_repair(tmp_path, mk_matrix):
     model = km.fit(m, km.KMeansConfig(n_clusters=4, seed=0))
     km.save_model(model, tmp_path / "model.txt")
     km.save_labels(model, m, tmp_path / "labels.bin", "key-1")
-    (saved,) = read_records(tmp_path / "labels.bin", "key-1", 1)
+    (saved,) = read_records(tmp_path / "labels.bin", km.labels_key(model.centroids, "key-1"), 1)
     assert np.array_equal(saved, km.load_model(tmp_path / "model.txt", m).assignments)
     assert not np.array_equal(saved, model.assignments)
 
@@ -604,7 +613,7 @@ def test_labels_under_another_key_or_missing_are_reassigned_silently(tmp_path):
     km.save_model(model, tmp_path / "model.txt")
     want = km.load_model(tmp_path / "model.txt", m).assignments
     path = tmp_path / "labels.bin"
-    write_records(path, "key-1", [(want + 1) % model.n_clusters])
+    write_records(path, km.labels_key(model.centroids, "key-1"), [(want + 1) % model.n_clusters])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for key in ("key-2", "key-1"):
@@ -620,11 +629,12 @@ def test_damaged_labels_file_warns_and_is_reassigned(tmp_path):
     km.save_model(model, tmp_path / "model.txt")
     want = km.load_model(tmp_path / "model.txt", m).assignments
     k, path = model.n_clusters, tmp_path / "labels.bin"
-    write_records(path, "key", [want])
+    key = km.labels_key(model.centroids, "key")
+    write_records(path, key, [want])
     whole = path.read_bytes()
     damaged = [whole[: len(whole) // 2], whole + b"\0"]
     for labels in (want.astype(np.int32), want[:-1], want.reshape(-1, 1), want - 1, want + k):
-        write_records(path, "key", [labels])
+        write_records(path, key, [labels])
         damaged.append(path.read_bytes())
     for data in damaged:
         path.write_bytes(data)

@@ -16,7 +16,6 @@ def _model(centroids, labels):
         centroids=np.asarray(centroids, dtype=np.float64),
         assignments=np.asarray(labels, dtype=np.int64),
         sse=0.0,
-        config_fingerprint="test",
     )
 
 
