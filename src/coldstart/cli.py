@@ -22,7 +22,8 @@ alone.
 Exit codes: 0 success, 2 usage or input error, 3 methodology error
 (degenerate model, no curve intersection), 4 internal invariant violation.
 When the quality curves do not cross, ``threshold`` has already written
-``threshold.txt`` and merges its breakpoint into ``summary.json``, with every
+``threshold.txt``; it prints ``t*``, saying that the curves do not cross, and
+merges its breakpoint and its timing into ``summary.json``, with every
 crossing key null, before it exits 3.
 """
 
@@ -388,7 +389,12 @@ _INTERSECTION_KEYS = (
 )
 
 
-def _threshold(cfg: RunConfig, out: Path) -> dict:
+def _threshold(cfg: RunConfig, out: Path) -> tuple[dict, NoIntersectionError | None]:
+    """The stage's summary fragment, and the error to exit with once it is recorded.
+
+    When the quality curves do not cross, ``t*`` still stands: the fragment
+    holds it with every crossing key null, and the error follows it.
+    """
     success = xp.read_success_csv(out / "success.csv")
     quality_c = xp.read_quality_csv(out / "quality.csv")
 
@@ -399,22 +405,20 @@ def _threshold(cfg: RunConfig, out: Path) -> dict:
         "breakpoint_method": report.method,
         "breakpoint_total_sse": report.total_sse,
     }
+    head = f"threshold: t_star={report.t_star} ({report.method}), quality curves"
     try:
         inter = xp.regression_intersection(quality_c)
-    except NoIntersectionError:
-        # t* stands without a crossing; an earlier run's crossing must not.
-        _update_summary(out, {**fragment, **dict.fromkeys(_INTERSECTION_KEYS)})
-        raise
+    except NoIntersectionError as e:
+        print(f"{head} do not cross")
+        # An earlier run's crossing must not stand beside this t*.
+        return {**fragment, **dict.fromkeys(_INTERSECTION_KEYS)}, e
     where = ""
     if inter.extrapolated:
         edge = quality_c.points[0 if inter.position == "before" else -1].t
         where = f" (extrapolated, {inter.position} t={edge})"
-    print(
-        f"threshold: t_star={report.t_star} ({report.method}), "
-        f"quality curves cross at t={inter.t_cross:.3f}{where}"
-    )
+    print(f"{head} cross at t={inter.t_cross:.3f}{where}")
     crossing = (inter.t_cross, *inter.log_fit, inter.extrapolated, inter.position)
-    return {**fragment, **dict(zip(_INTERSECTION_KEYS, crossing))}
+    return {**fragment, **dict(zip(_INTERSECTION_KEYS, crossing))}, None
 
 
 # Stages that read the input matrix, in pipeline order; `threshold` reads
@@ -464,9 +468,10 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
     write_resolved_config(cfg, out)
     key = input_summary.get("input_sha256")
     parsed = input_summary.get("matrix_source") == "parsed"
+    no_crossing = None
     for name in stages:
         if name == "threshold":
-            fragment = _threshold(cfg, out)
+            fragment, no_crossing = _threshold(cfg, out)
         else:
             fragment = {**_MATRIX_STAGES[name](cfg, m, out, key), **input_summary}
         if parsed:
@@ -476,6 +481,8 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
         _update_summary(out, fragment)
         t0 = time.perf_counter()
+    if no_crossing is not None:
+        raise no_crossing
     return EXIT_OK
 
 

@@ -14,9 +14,15 @@ centroids' bytes and the caller's key for the input (``labels_key``). Row
 norms, like every other per-row sum, are a segment sum in storage order
 (``dataset.segment_sums``), so ``fit``, ``load_model``, ``sse``,
 Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix replay of a whole row all
-see the same norm for it. Centroid means are always a segment sum over the
-matrix's own CSR arrays, so they do not depend on the kernel, and the dense
-kernel needs no scipy at all.
+see the same norm for it. Centroid means are always a sum over the matrix's
+own CSR arrays, each (item, cluster) cell adding its members in storage
+order, so they do not depend on the kernel, and the dense kernel needs no
+scipy at all.
+
+Every pass over the stored ratings (row norms, per-row dots, the dense fill
+and the mean update) runs one block of ``_ROW_BLOCK`` whole rows at a time,
+so its temporaries take memory by the block, not by the matrix, and give the
+same bytes as one pass over the whole matrix.
 
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
 thread count: restarts are the only parallel level, each one runs whole on one
@@ -51,9 +57,14 @@ from .dataset import RatingMatrix, read_records, segment_ids, segment_sums, writ
 DENSE_FILL = 0.25
 
 _CHUNK = 8192  # CSR rows per distance block
-# Dense rows per distance block: 2 MB of distances at k = 250. 8,192-row
+# Dense rows per distance block: 0.5 MB of distances at k = 250. 8,192-row
 # blocks raised jester-fit's peak RSS by 10-40 MB (they land on thread heaps).
-_DENSE_CHUNK = 1024
+_DENSE_CHUNK = 256
+# Rows per block of a per-rating pass (row norms, per-row dots, the dense
+# fill, the mean update): about 3.4 MB of temporaries per block at 100
+# ratings a row. On jester-fit 4,096-row blocks raised the peak RSS from 80.5
+# to 95.9 MB, and 256-row blocks lowered it only to 77.0 MB.
+_ROW_BLOCK = 1024
 
 MODEL_FORMAT = "coldstart-kmeans v1"
 LABELS_FORMAT = "coldstart-labels v1"
@@ -150,8 +161,26 @@ def _sq_dists(
     return d
 
 
+def _row_blocks(m: RatingMatrix):
+    """Blocks of ``_ROW_BLOCK`` whole rows, in row order.
+
+    Yields (rows, ratings, seg): the block's row slice, its slice of the
+    stored ratings, and each of those ratings' row within the block. A row
+    never spans two blocks, so a per-row ``segment_sums`` over a block adds
+    the same terms in the same order as one over the whole matrix.
+    """
+    for lo in range(0, m.n_users, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, m.n_users)
+        ptr = m.indptr[lo : hi + 1]
+        yield slice(lo, hi), slice(int(ptr[0]), int(ptr[-1])), segment_ids(ptr)
+
+
 def _row_sq_norms(m: RatingMatrix) -> np.ndarray:
-    return segment_sums(segment_ids(m.indptr), m.values * m.values, m.n_users)
+    norms = np.empty(m.n_users)
+    for rows, ratings, seg in _row_blocks(m):
+        v = m.values[ratings]
+        norms[rows] = segment_sums(seg, v * v, rows.stop - rows.start)
+    return norms
 
 
 def fill_ratio(m: RatingMatrix) -> float:
@@ -173,10 +202,11 @@ def _kernel_rows(m: RatingMatrix):
     sum does.
     """
     if _kernel(m) == "dense":
-        rows = np.zeros((m.n_users, m.n_items))
-        rows[segment_ids(m.indptr), m.indices] = m.values
-        rows += 0.0
-        return rows, "dense"
+        X = np.zeros((m.n_users, m.n_items))
+        for rows, ratings, seg in _row_blocks(m):
+            X[rows][seg, m.indices[ratings]] = m.values[ratings]
+        X += 0.0
+        return X, "dense"
     return m.to_csr(), "csr"
 
 
@@ -274,21 +304,29 @@ def _repair_empty(
         dists[p] = 0.0
 
 
-def item_cluster_bins(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
-    """Each stored rating's (item, cluster of its user) cell as ``item * k + label``.
+def _cell_blocks(m: RatingMatrix, labels: np.ndarray, k: int):
+    """Each ``_row_blocks`` block's (item, cluster) cells, ``item * k + label``, and values.
 
-    Item-major, so a bincount over these bins adds each cell's members in
-    ascending row order, as a CSC column would.
+    ``np.add.at`` of every block, in order, into one flat items x k array
+    adds each cell's members in storage order from 0.0, as one ``np.bincount``
+    over the whole matrix does; adding up per-block bincounts rounds
+    differently.
     """
-    return m.indices.astype(np.int64) * k + np.repeat(labels, np.diff(m.indptr))
+    for rows, ratings, seg in _row_blocks(m):
+        cells = m.indices[ratings].astype(np.intp)
+        cells *= k
+        cells += labels[rows][seg]
+        yield cells, m.values[ratings]
 
 
 def _cluster_means(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
     d = m.n_items
-    bins = item_cluster_bins(m, labels, k)
+    flat = np.zeros(d * k)
+    for cells, values in _cell_blocks(m, labels, k):
+        np.add.at(flat, cells, values)
     # The (k, d) transpose is F-ordered like the sparse product it replaced;
     # the einsum centroid norms, and so the SSE, depend on that layout.
-    sums = np.bincount(bins, weights=m.values, minlength=d * k).reshape(d, k).T
+    sums = flat.reshape(d, k).T
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     counts[counts == 0] = 1.0  # empty clusters keep a zero centroid; repair handles them
     return sums / counts[:, None]
@@ -437,8 +475,10 @@ def _assigned_sq_dists(model: ClusterModel, m: RatingMatrix) -> np.ndarray:
     if m.n_users != len(model.assignments):
         raise ValueError("matrix user count does not match the model assignments")
     a = model.assignments
-    rows = segment_ids(m.indptr)
-    dots = segment_sums(rows, m.values * model.centroids[a[rows], m.indices], m.n_users)
+    dots = np.empty(m.n_users)
+    for rows, ratings, seg in _row_blocks(m):
+        terms = m.values[ratings] * model.centroids[a[rows][seg], m.indices[ratings]]
+        dots[rows] = segment_sums(seg, terms, rows.stop - rows.start)
     return np.maximum(_sq_dists(dots, _row_sq_norms(m), model.centroid_sq_norms[a]), 0.0)
 
 

@@ -6,8 +6,9 @@ items, and records mean NDCG and MAP per coefficient. Holdout and pool are
 drawn once from the eval seed, so every coefficient is scored on identical
 splits and the whole sweep is reproducible.
 
-Each fit gets one items x clusters table of mean ratings (``np.bincount``
-calls over the training columns); a candidate's score is one lookup in it.
+Each fit gets one items x clusters table of mean ratings, summed one block
+of training rows at a time with the cells of the k-means mean update; a
+candidate's score is one lookup in it.
 Users are ranked in blocks of ``_RANK_BLOCK``, which bounds the sort's
 memory: a block pads its candidate lists into one array and sorts each row
 by (-score, item). AP sums in rank order and NDCG calls ``ndcg_at_n`` per
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RatingMatrix, segment_sums
-from .kmeans import KMeansConfig, fit, item_cluster_bins, n_clusters_from_coeff
+from .kmeans import KMeansConfig, _cell_blocks, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
 
@@ -105,17 +106,21 @@ def _score_table(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
     """Items x k table of each cluster's mean rating of each item.
 
     A cell no cluster member rated holds the item's mean rating, or
-    FALLBACK_SCORE for an item nobody rated. The bins are those of the
-    k-means mean update, so each cell sums its raters in ascending row order.
+    FALLBACK_SCORE for an item nobody rated. The cells are those of the
+    k-means mean update, summed by the same blocked pass, so each cell sums
+    its raters in ascending row order.
     """
     n_items = m.n_items
     n_raters = np.bincount(m.indices, minlength=n_items)
     item_total = segment_sums(m.indices, m.values, n_items)
     item_mean = np.where(n_raters > 0, item_total / np.maximum(n_raters, 1), FALLBACK_SCORE)
-    bins = item_cluster_bins(m, labels, k)
-    cnt = np.bincount(bins, minlength=n_items * k).reshape(n_items, k)
-    table = np.bincount(bins, weights=m.values, minlength=n_items * k).reshape(n_items, k)
-    table = table.astype(np.float64, copy=False)  # integer zeros when no item has a rater
+    table = np.zeros(n_items * k)
+    cnt = np.zeros(n_items * k, dtype=np.int64)
+    for cells, values in _cell_blocks(m, labels, k):
+        np.add.at(table, cells, values)
+        np.add.at(cnt, cells, 1)
+    table = table.reshape(n_items, k)
+    cnt = cnt.reshape(n_items, k)
     table /= np.maximum(cnt, 1)
     np.copyto(table, item_mean[:, None], where=cnt == 0)
     return table

@@ -1,13 +1,23 @@
-"""Direct squared Euclidean distance of a sparse row to a dense vector.
+"""Reference versions of ``coldstart.kmeans`` distances and per-rating passes.
 
 ``coldstart.kmeans`` takes every distance from the expansion
-(-2·x·c + ‖x‖²) + ‖c‖². This sums (v - c)² over the rated items and c² over
-the rest instead, with no cancellation, so the tests hold ``assign`` to it.
+(-2·x·c + ‖x‖²) + ‖c‖². ``sq_euclidean`` sums (v - c)² over the rated items
+and c² over the rest instead, with no cancellation, so the tests hold
+``assign`` to it.
+
+``kmeans`` runs its per-rating passes (row norms, per-row dots, the dense
+fill and the mean update) one block of rows at a time, to bound their
+memory. The functions below take each pass over the whole matrix at once,
+as one ``np.bincount`` or one fancy index; the tests require the blocked
+passes to give the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from coldstart.dataset import RatingMatrix, segment_ids, segment_sums
+from coldstart.kmeans import ClusterModel, _sq_dists
 
 
 def sq_euclidean(row: tuple[np.ndarray, np.ndarray], centroid: np.ndarray) -> float:
@@ -24,3 +34,36 @@ def sq_euclidean(row: tuple[np.ndarray, np.ndarray], centroid: np.ndarray) -> fl
     mask = np.ones(centroid.shape[0], dtype=bool)
     mask[indices] = False
     return rated + float((centroid[mask] ** 2).sum())
+
+
+def cell_bins(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each stored rating's (item, cluster of its user) cell as ``item * k + label``."""
+    return m.indices.astype(np.int64) * k + np.repeat(labels, np.diff(m.indptr))
+
+
+def cluster_means(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster mean rows from one bincount over every rating's cell; 0.0 for an empty cluster."""
+    d = m.n_items
+    sums = np.bincount(cell_bins(m, labels, k), weights=m.values, minlength=d * k).reshape(d, k).T
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    counts[counts == 0] = 1.0
+    return sums / counts[:, None]
+
+
+def row_sq_norms(m: RatingMatrix) -> np.ndarray:
+    return segment_sums(segment_ids(m.indptr), m.values * m.values, m.n_users)
+
+
+def assigned_sq_dists(model: ClusterModel, m: RatingMatrix) -> np.ndarray:
+    a = model.assignments
+    rows = segment_ids(m.indptr)
+    dots = segment_sums(rows, m.values * model.centroids[a[rows], m.indices], m.n_users)
+    return np.maximum(_sq_dists(dots, row_sq_norms(m), model.centroid_sq_norms[a]), 0.0)
+
+
+def dense_rows(m: RatingMatrix) -> np.ndarray:
+    """The rows as one dense array, filled by one fancy index; adding 0.0 turns -0.0 into 0.0."""
+    rows = np.zeros((m.n_users, m.n_items))
+    rows[segment_ids(m.indptr), m.indices] = m.values
+    rows += 0.0
+    return rows

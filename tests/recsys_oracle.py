@@ -9,6 +9,10 @@ to it, float for float.
 One difference is left to the tests: when no coefficient has a defined MAP,
 this version names the smallest coefficient as ``best_by_map``, where the
 array version reports None.
+
+``score_table`` is the items x clusters table as two whole-matrix
+bincounts; the array version sums the same cells one block of rows at a
+time, and the tests require the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import dataclasses
 
 import numpy as np
 
-from coldstart.dataset import RatingMatrix, _gather_rows
+import kmeans_oracle
+from coldstart.dataset import RatingMatrix, _gather_rows, segment_sums
 from coldstart.kmeans import ClusterModel, KMeansConfig, fit, n_clusters_from_coeff
 from coldstart.recsys_eval import (
     FALLBACK_SCORE,
@@ -71,6 +76,21 @@ def holdout_split(
         timestamps=m.timestamps[keep] if m.timestamps is not None else None,
     )
     return train, held_items, held_gains, pools
+
+
+def score_table(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
+    """Items x k mean ratings per cluster, else the item's mean, else FALLBACK_SCORE."""
+    n_items = m.n_items
+    n_raters = np.bincount(m.indices, minlength=n_items)
+    item_total = segment_sums(m.indices, m.values, n_items)
+    item_mean = np.where(n_raters > 0, item_total / np.maximum(n_raters, 1), FALLBACK_SCORE)
+    bins = kmeans_oracle.cell_bins(m, labels, k)
+    cnt = np.bincount(bins, minlength=n_items * k).reshape(n_items, k)
+    table = np.bincount(bins, weights=m.values, minlength=n_items * k).reshape(n_items, k)
+    table = table.astype(np.float64, copy=False)  # integer zeros when no item has a rater
+    table /= np.maximum(cnt, 1)
+    np.copyto(table, item_mean[:, None], where=cnt == 0)
+    return table
 
 
 def score_candidates(

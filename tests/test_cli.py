@@ -656,10 +656,13 @@ def test_threshold_without_a_crossing_records_t_star_and_clears_the_crossing(tmp
     (out / "summary.json").write_text(json.dumps(earlier))
     rc = main(["threshold", "--dataset", "jester", "--out", str(out)])
     assert rc == EXIT_METHODOLOGY
-    assert "do not cross" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "do not cross" in printed.err
+    assert "threshold: t_star=10 (segmented_linear), quality curves do not cross\n" == printed.out
     t_star = re.search(r"^t_star=(\d+)$", (out / "threshold.txt").read_text(), re.M)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["breakpoint_t_star"] == int(t_star[1]) == 10
+    assert summary["timing_threshold_s"] >= 0
     assert summary["breakpoint_method"] == "segmented_linear"
     assert "breakpoint_total_sse" in summary
     crossing = {k: v for k, v in summary.items() if k.startswith("intersection_")}

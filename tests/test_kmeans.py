@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,10 @@ from hypothesis import event, given, settings, strategies as st
 from scipy import sparse
 
 import kmeans_oracle as oracle
+import recsys_oracle
+from conftest import matrix_from_dense
 from coldstart import kmeans as km
+from coldstart import recsys_eval as rv
 from coldstart.dataset import BY_ITEM_INDEX, IDENTITY_1_TO_5, RatingMatrix, read_records, write_records
 from coldstart.experiment import prefix_replay
 
@@ -237,6 +241,91 @@ def test_kernel_rows_match_csr_toarray(mk_matrix, fill):
     assert isinstance(got, np.ndarray) and got.flags.c_contiguous
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _blocked_case(seed):
+    """A rating matrix, labels with an empty cluster, and centroids near the cluster means.
+
+    Ratings are half-points or two-decimal values; one row is empty and one
+    stored rating is -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 60)), int(rng.integers(1, 12))
+    if rng.random() < 0.5:
+        values = rng.integers(-20, 21, (n, d)) / 2.0
+    else:
+        values = np.round(rng.uniform(-10, 10, (n, d)), 2)
+    dense = np.where(rng.random((n, d)) < rng.choice([0.2, 0.6, 1.0]), values, np.nan)
+    empty = int(rng.integers(n))
+    dense[empty] = np.nan
+    dense[(empty + 1 + int(rng.integers(n - 1))) % n, int(rng.integers(d))] = -0.0
+    k = int(rng.integers(2, 8))
+    labels = rng.integers(0, k - 1, n)  # cluster k - 1 stays empty
+    m = matrix_from_dense(dense)
+    centroids = oracle.cluster_means(m, labels, k) + np.round(rng.uniform(-1, 1, (k, d)), 2)
+    return m, labels, k, centroids
+
+
+@pytest.mark.parametrize("block", [1, 7, "all"])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_blocked_passes_match_whole_matrix_passes(block, seed):
+    m, labels, k, centroids = _blocked_case(seed)
+    model = km.ClusterModel(centroids=centroids, assignments=labels, sse=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_ROW_BLOCK", m.n_users + 1 if block == "all" else block)
+        mp.setattr(km, "DENSE_FILL", 0.0)
+        means = km._cluster_means(m, labels, k)
+        norms = km._row_sq_norms(m)
+        dists = km._assigned_sq_dists(model, m)
+        rows, kernel = km._kernel_rows(m)
+        table = rv._score_table(m, labels, k)
+    want = oracle.cluster_means(m, labels, k)
+    assert means.tobytes() == want.tobytes()
+    assert means.strides == want.strides  # the centroid norms depend on the layout
+    assert norms.tobytes() == oracle.row_sq_norms(m).tobytes()
+    assert dists.tobytes() == oracle.assigned_sq_dists(model, m).tobytes()
+    assert kernel == "dense"
+    assert rows.tobytes() == oracle.dense_rows(m).tobytes()
+    assert table.tobytes() == recsys_oracle.score_table(m, labels, k).tobytes()
+
+
+def _tall_matrix(n_users):
+    """``n_users`` rows of 100 ratings over 200 items, all in one seeded pattern."""
+    rng = np.random.default_rng(0)
+    idx = np.sort(np.argsort(rng.random((n_users, 200)), axis=1)[:, :100], axis=1)
+    return RatingMatrix(
+        n_users=n_users, n_items=200,
+        indptr=np.arange(0, 100 * n_users + 1, 100, dtype=np.int64),
+        indices=idx.ravel().astype(np.int32),
+        values=rng.integers(2, 11, 100 * n_users) / 2.0,
+        user_ids=np.arange(n_users), item_ids=np.arange(200), scheme=IDENTITY_1_TO_5,
+    )
+
+
+@pytest.mark.parametrize("name", ["_cluster_means", "_row_sq_norms", "_assigned_sq_dists"])
+def test_per_rating_passes_take_memory_by_the_block(name):
+    k = 50
+    peaks = []
+    for n in (3000, 6000):
+        m = _tall_matrix(n)
+        labels = np.arange(n) % k
+        centroids = np.random.default_rng(1).uniform(1, 5, (k, m.n_items))
+        model = km.ClusterModel(centroids=centroids, assignments=labels, sse=0.0)
+        model.centroid_sq_norms  # cached before tracing
+        args = {
+            "_cluster_means": (m, labels, k),
+            "_row_sq_norms": (m,),
+            "_assigned_sq_dists": (model, m),
+        }[name]
+        tracemalloc.start()
+        try:
+            getattr(km, name)(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Twice the rows add only the per-row outputs, not per-rating temporaries.
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------- dense kernel vs CSR oracle
