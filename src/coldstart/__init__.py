@@ -26,7 +26,6 @@ from .errors import (
     DegenerateModelError,
     EmptyResultError,
     MethodologyError,
-    NoIntersectionError,
     ParseError,
     RatingRangeError,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "JESTER_AFFINE",
     "KMeansConfig",
     "MethodologyError",
-    "NoIntersectionError",
     "NormalizationScheme",
     "ParseError",
     "PrefixOrdering",

@@ -19,12 +19,12 @@ individual flags override; each command writes the fully resolved config
 next to its outputs, so any artifact can be regenerated from the directory
 alone.
 
-Exit codes: 0 success, 2 usage or input error, 3 methodology error
-(degenerate model, no curve intersection), 4 internal invariant violation.
-When the quality curves do not cross, ``threshold`` has already written
-``threshold.txt``; it prints ``t*``, saying that the curves do not cross, and
-merges its breakpoint and its timing into ``summary.json``, with every
-crossing key null, before it exits 3.
+Exit codes: 0 success, 2 usage or input error (an unreadable ``--input`` or
+an ``--out`` that cannot be made a directory among them), 3 methodology
+error (degenerate model), 4 internal invariant violation. Quality curves that
+do not cross are a result: ``threshold`` prints ``t*``, saying that the
+curves do not cross, writes ``intersection_position = "none"`` with a null
+crossing and the falling fit into ``summary.json``, and exits 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from . import experiment as xp
 from . import kmeans as km
 from . import quality as ql
 from . import recsys_eval as rv
-from .errors import MethodologyError, NoIntersectionError, ParseError
+from .errors import MethodologyError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -244,9 +244,10 @@ def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
     if not cfg.input:
         raise UsageError("--input is required for this command")
     path = Path(cfg.input)
-    if not path.exists():
-        raise UsageError(f"input file not found: {path}")
-    key = _input_key(cfg.dataset, path)
+    try:
+        key = _input_key(cfg.dataset, path)
+    except OSError as e:
+        raise UsageError(f"cannot read input {path}: {e.strerror or e}") from None
     m = ds.read_matrix(Path(cfg.out) / MATRIX_FILE, key) if handoff else None
     source = "parsed" if m is None else "handoff"
     if m is None and cfg.dataset == "jester":
@@ -379,57 +380,51 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> di
     return fragment
 
 
-# The summary keys of the quality-curve crossing, null when there is none.
-_INTERSECTION_KEYS = (
-    "intersection_t_cross",
-    "intersection_log_fit_a",
-    "intersection_log_fit_b",
-    "intersection_extrapolated",
-    "intersection_position",
-)
-
-
-def _threshold(cfg: RunConfig, out: Path) -> tuple[dict, NoIntersectionError | None]:
-    """The stage's summary fragment, and the error to exit with once it is recorded.
-
-    When the quality curves do not cross, ``t*`` still stands: the fragment
-    holds it with every crossing key null, and the error follows it.
-    """
+def _threshold(
+    cfg: RunConfig, m: ds.RatingMatrix | None, out: Path, input_key: str | None
+) -> dict:
+    # Reads only the curve CSVs; `m` and `input_key` are None when it runs alone.
     success = xp.read_success_csv(out / "success.csv")
     quality_c = xp.read_quality_csv(out / "quality.csv")
 
     report = xp.detect_breakpoint(success, method=cfg.breakpoint_method)
     xp.write_breakpoint_report(report, out / "threshold.txt")
-    fragment = {
+    inter = xp.regression_intersection(quality_c)
+    head = f"threshold: t_star={report.t_star} ({report.method}), quality curves"
+    if inter.position == "none":
+        print(f"{head} do not cross")
+    else:
+        where = ""
+        if inter.extrapolated:
+            edge = quality_c.points[0 if inter.position == "before" else -1].t
+            where = f" (extrapolated, {inter.position} t={edge})"
+        print(f"{head} cross at t={inter.t_cross:.3f}{where}")
+    return {
         "breakpoint_t_star": report.t_star,
         "breakpoint_method": report.method,
         "breakpoint_total_sse": report.total_sse,
+        "intersection_t_cross": inter.t_cross,
+        "intersection_log_fit_a": inter.log_fit[0],
+        "intersection_log_fit_b": inter.log_fit[1],
+        "intersection_extrapolated": inter.extrapolated,
+        "intersection_position": inter.position,
     }
-    head = f"threshold: t_star={report.t_star} ({report.method}), quality curves"
-    try:
-        inter = xp.regression_intersection(quality_c)
-    except NoIntersectionError as e:
-        print(f"{head} do not cross")
-        # An earlier run's crossing must not stand beside this t*.
-        return {**fragment, **dict.fromkeys(_INTERSECTION_KEYS)}, e
-    where = ""
-    if inter.extrapolated:
-        edge = quality_c.points[0 if inter.position == "before" else -1].t
-        where = f" (extrapolated, {inter.position} t={edge})"
-    print(f"{head} cross at t={inter.t_cross:.3f}{where}")
-    crossing = (inter.t_cross, *inter.log_fit, inter.extrapolated, inter.position)
-    return {**fragment, **dict(zip(_INTERSECTION_KEYS, crossing))}, None
 
 
-# Stages that read the input matrix, in pipeline order; `threshold` reads
-# only the curve CSVs.
-_MATRIX_STAGES = {"ingest": _ingest, "fit": _fit, "sweep": _sweep, "curves": _curves}
+# Every stage, in pipeline order. All but `threshold` read the input matrix.
+_STAGES = {
+    "ingest": _ingest,
+    "fit": _fit,
+    "sweep": _sweep,
+    "curves": _curves,
+    "threshold": _threshold,
+}
 
 
 def _stages(command: str, cfg: RunConfig) -> tuple[str, ...]:
     """The stages a command runs, in order."""
     if command == "pipeline":
-        return ("ingest", "fit", *(("sweep",) if cfg.coeffs else ()), "curves", "threshold")
+        return tuple(s for s in _STAGES if s != "sweep" or cfg.coeffs)
     if command == "threshold":
         out = Path(cfg.out)
         if not ((out / "success.csv").exists() and (out / "quality.csv").exists()):
@@ -456,7 +451,7 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
     if "curves" in stages and "fit" not in stages and not (out / "model.txt").exists():
         raise UsageError(f"missing model file: {out / 'model.txt'} (run `fit` first)")
     m, input_summary = None, {}
-    if any(s in _MATRIX_STAGES for s in stages):
+    if any(s != "threshold" for s in stages):
         m, input_summary = _load_matrix(cfg, handoff="ingest" not in stages)
     if "sweep" in stages:
         _sweep_users(cfg, m)
@@ -464,16 +459,15 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         _curve_cohort(cfg, m)
         if cfg.resolved_ordering() == ds.BY_TIMESTAMP and m.timestamps is None:
             raise UsageError(f"ordering by_timestamp needs timestamps; {cfg.dataset} input has none")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot create output directory {out}: {e.strerror or e}") from None
     write_resolved_config(cfg, out)
     key = input_summary.get("input_sha256")
     parsed = input_summary.get("matrix_source") == "parsed"
-    no_crossing = None
     for name in stages:
-        if name == "threshold":
-            fragment, no_crossing = _threshold(cfg, out)
-        else:
-            fragment = {**_MATRIX_STAGES[name](cfg, m, out, key), **input_summary}
+        fragment = {**_STAGES[name](cfg, m, out, key), **input_summary}
         if parsed:
             # Once the first stage has succeeded, leave the parsed matrix for later runs.
             ds.write_matrix(m, out / MATRIX_FILE, key)
@@ -481,8 +475,6 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
         _update_summary(out, fragment)
         t0 = time.perf_counter()
-    if no_crossing is not None:
-        raise no_crossing
     return EXIT_OK
 
 
@@ -528,18 +520,12 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _run(cfg, _stages(args.command, cfg))
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, FileNotFoundError) as e:
+    except (UsageError, ValueError, FileNotFoundError) as e:  # ValueError covers ParseError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MethodologyError as e:
         print(f"methodology error: {e}", file=sys.stderr)
         return EXIT_METHODOLOGY
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()

@@ -490,14 +490,14 @@ def write_records(path: str | Path, key: str, records: Sequence[np.ndarray]) -> 
 def read_records(path: str | Path, key: str, n: int) -> list[np.ndarray] | None:
     """The ``n`` records ``write_records`` stored at ``path`` under ``key``, else None.
 
-    None when the file is missing or holds another key. A damaged file (a
-    record that cannot be read, or bytes after the last one) raises
-    ``ValueError`` or ``OSError``; checking what the records hold is the
-    caller's job.
+    None when the file is missing (its directory too, or a file in its
+    directory's place) or holds another key. A damaged file (a record that
+    cannot be read, or bytes after the last one) raises ``ValueError`` or
+    ``OSError``; checking what the records hold is the caller's job.
     """
     try:
         fh = open(path, "rb")
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     with fh:
         if _text_record(np.lib.format.read_array(fh, allow_pickle=False)) != key:

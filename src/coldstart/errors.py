@@ -29,7 +29,3 @@ class MethodologyError(RuntimeError):
 
 class DegenerateModelError(MethodologyError):
     """Cluster structure too degenerate to evaluate (empty clusters, coincident centroids)."""
-
-
-class NoIntersectionError(MethodologyError):
-    """The fitted quality trend does not rise toward the reference level."""

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix, _gather_rows
-from .errors import DegenerateModelError, NoIntersectionError
+from .errors import DegenerateModelError
 from .kmeans import ClusterModel, _sq_dists
 from .quality import davies_bouldin
 
@@ -89,17 +89,19 @@ class IntersectionReport:
     `position` places `t_cross` against the observed prefix lengths:
     "before" the first (the fit is already above the reference there),
     "within" them, or "beyond" the last. A crossing that cannot be placed
-    (NaN, from a NaN in the curve) counts as "beyond".
+    (NaN, from a NaN in the curve) counts as "beyond". When the fit does not
+    rise (slope <= 0, or a flat series) the curves do not cross: `position` is
+    "none", `t_cross` is None and `log_fit` is still the fit.
     """
 
     log_fit: tuple[float, float]  # (a, b) of y = a + b*ln t
     reference_level: float
-    t_cross: float
+    t_cross: float | None
     position: str
 
     @property
     def extrapolated(self) -> bool:
-        return self.position != "within"
+        return self.position in ("before", "beyond")
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,9 +388,10 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
     """Where the log-fit of the current series reaches the reference level.
 
     Fits y = a + b*ln t to the current series; a non-positive b means the
-    series is not converging upward and there is no crossing to report. A
-    fit already above the reference at the first observed t crosses "before"
-    it.
+    series is not converging upward, and the report's position is "none". So
+    does a flat series, whose fitted b is 0 only up to rounding, of either
+    sign. A fit already above the reference at the first observed t crosses
+    "before" it.
     """
     if len(curve.points) < 3:
         raise ValueError("need at least 3 points to fit the regression")
@@ -396,10 +399,9 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
     cur = np.array([p.current_quality_mean for p in curve.points])
     ref = float(np.mean([p.reference_quality_mean for p in curve.points]))
     b, a = np.polyfit(np.log(t), cur, 1)
-    if b <= 0:
-        raise NoIntersectionError(
-            f"current-quality log fit has slope {b:.6g} <= 0; curves do not cross"
-        )
+    log_fit = (float(a), float(b))
+    if b <= 0 or cur.min() == cur.max():
+        return IntersectionReport(log_fit, ref, t_cross=None, position="none")
     exponent = (ref - a) / b
     t_cross = float(np.exp(np.clip(exponent, -745.0, 709.0)))
     if exponent > 709.0:
@@ -410,12 +412,7 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
         position = "before"
     else:
         position = "beyond"
-    return IntersectionReport(
-        log_fit=(float(a), float(b)),
-        reference_level=ref,
-        t_cross=t_cross,
-        position=position,
-    )
+    return IntersectionReport(log_fit, ref, t_cross, position)
 
 
 def write_success_csv(curve: SuccessCurve, dest: str | Path) -> None:

@@ -462,6 +462,34 @@ def test_nonexistent_input_is_usage_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "fit"])
+def test_directory_input_is_usage_error(command, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    rc = main([
+        command, "--dataset", "jester", "--input", str(data), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read input {data}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit"])
+def test_existing_file_as_out_is_usage_error(command, jester_file, tmp_path, capsys, recwarn):
+    out = tmp_path / "o"
+    out.write_text("not a directory\n")
+    rc = main([command, "--dataset", "jester", "--input", str(jester_file), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}")
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+    assert not recwarn.list  # `fit` finds no matrix.bin to read, not an unreadable one
+
+
 def test_malformed_input_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,3\n")
@@ -647,7 +675,7 @@ def test_threshold_reports_a_nan_crossing_as_extrapolated(tmp_path, capsys):
     assert summary["intersection_extrapolated"] is True
 
 
-def test_threshold_without_a_crossing_records_t_star_and_clears_the_crossing(tmp_path, capsys):
+def test_threshold_without_a_crossing_reports_none_and_the_falling_fit(tmp_path, capsys):
     out = tmp_path / "o"
     _write_curves(out, -1.0, slope=-0.5)
     # An earlier run's breakpoint and crossing.
@@ -655,9 +683,9 @@ def test_threshold_without_a_crossing_records_t_star_and_clears_the_crossing(tmp
                "intersection_position": "within", "sse": 1.5}
     (out / "summary.json").write_text(json.dumps(earlier))
     rc = main(["threshold", "--dataset", "jester", "--out", str(out)])
-    assert rc == EXIT_METHODOLOGY
+    assert rc == EXIT_OK
     printed = capsys.readouterr()
-    assert "do not cross" in printed.err
+    assert printed.err == ""
     assert "threshold: t_star=10 (segmented_linear), quality curves do not cross\n" == printed.out
     t_star = re.search(r"^t_star=(\d+)$", (out / "threshold.txt").read_text(), re.M)
     summary = json.loads((out / "summary.json").read_text())
@@ -665,10 +693,30 @@ def test_threshold_without_a_crossing_records_t_star_and_clears_the_crossing(tmp
     assert summary["timing_threshold_s"] >= 0
     assert summary["breakpoint_method"] == "segmented_linear"
     assert "breakpoint_total_sse" in summary
-    crossing = {k: v for k, v in summary.items() if k.startswith("intersection_")}
-    names = ("t_cross", "log_fit_a", "log_fit_b", "extrapolated", "position")
-    assert crossing == {f"intersection_{name}": None for name in names}
+    assert summary["intersection_position"] == "none"
+    assert summary["intersection_t_cross"] is None
+    assert summary["intersection_extrapolated"] is False
+    assert summary["intersection_log_fit_a"] == pytest.approx(-2.0, abs=1e-12)
+    assert summary["intersection_log_fit_b"] == pytest.approx(-0.5, abs=1e-12)
     assert summary["sse"] == 1.5
+
+
+def test_two_cluster_pipeline_reports_flat_curves_as_not_crossing(jester_file, tmp_path, capsys):
+    # With k = 2 both clusters' quality terms are one pairwise value, so the
+    # current series is flat at the reference and its fitted slope is rounding.
+    out = tmp_path / "o"
+    rc = main([
+        "pipeline", "--dataset", "jester", "--input", str(jester_file),
+        "--k-coeff", "15", "--min-ratings", "50", "--sample", "30", "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.endswith("quality curves do not cross\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_clusters"] == 2
+    assert summary["intersection_position"] == "none"
+    assert abs(summary["intersection_log_fit_b"]) < 1e-12
+    quality = xp.read_quality_csv(out / "quality.csv").points
+    assert len({(p.current_quality_mean, p.reference_quality_mean) for p in quality}) == 1
 
 
 def test_threshold_with_input_computes_missing_curves(ml_file, tmp_path):

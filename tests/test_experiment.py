@@ -6,7 +6,6 @@ import experiment_oracle as oracle
 from conftest import matrix_from_dense
 from coldstart import experiment as xp
 from coldstart.dataset import BY_ITEM_INDEX, BY_TIMESTAMP
-from coldstart.errors import NoIntersectionError
 from coldstart.kmeans import ClusterModel, KMeansConfig, fit
 
 
@@ -358,11 +357,24 @@ def test_regression_intersection_with_nan_reference_is_extrapolated():
     assert rep.extrapolated
 
 
-def test_regression_intersection_rejects_downward_trend():
-    t = np.arange(1, 31)
-    cur = -1.0 - 0.5 * np.log(t)
-    with pytest.raises(NoIntersectionError):
-        xp.regression_intersection(_quality(t, cur, -0.5))
+@pytest.mark.parametrize(
+    "n, slope",
+    [
+        (30, -0.5),
+        (20, 0.0),  # polyfit's slope: +1.7e-17
+        (30, 0.0),  # polyfit's slope: -1.4e-17
+    ],
+    ids=["falling", "flat-rounds-up", "flat-rounds-down"],
+)
+def test_regression_intersection_without_a_rise_reports_no_crossing(n, slope):
+    t = np.arange(1, n + 1)
+    cur = -1.0 + slope * np.log(t)
+    rep = xp.regression_intersection(_quality(t, cur, -0.5))
+    assert rep.position == "none"
+    assert rep.t_cross is None
+    assert rep.extrapolated is False
+    b, a = np.polyfit(np.log(t.astype(np.float64)), cur, 1)
+    assert rep.log_fit == (a, b)
 
 
 def test_regression_intersection_needs_three_points():
