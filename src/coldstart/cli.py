@@ -1,30 +1,22 @@
 """Command-line pipeline: ingest -> fit -> sweep -> curves -> threshold.
 
-A command runs one stage, or all of them for ``pipeline``. It checks its
-inputs, reads the rating matrix of ``--input`` once and hands it to every
-stage that needs it; each stage writes file artifacts into the output
-directory and can be re-run independently. A stage that parses the input
-leaves the matrix there as ``matrix.bin``, keyed by a digest of the dataset
-name and the input's bytes; ``fit``, ``sweep`` and ``curves`` read that file
-when the key matches and parse (and rewrite it) when it does not. ``fit``
-leaves the model as ``model.txt`` and each user's nearest centroid under it
-as ``labels.bin``, keyed by a digest of the centroids and the input key
-(``kmeans.labels_key``). The input key is the only digest of the input; the
-config fingerprint in ``summary.json`` hashes it with the k-means settings.
-``curves`` reads the model, takes the labels when their key matches and
-reassigns the users when it does not, which on a sparse matrix is the only
-thing it would import scipy for; ``threshold`` reads the curves ``curves``
-left there. A flat ``key = value`` config file provides defaults that
-individual flags override; each command writes the fully resolved config
-next to its outputs, so any artifact can be regenerated from the directory
-alone.
+A command runs exactly the stages it names: one, or all of them for
+``pipeline``. Before it creates the output directory it checks its inputs,
+the files an earlier stage must have left there among them
+(``_PREREQUISITES``). Every stage but ``threshold`` gets the rating matrix
+from ``matrix.bin`` in the output directory when that file's key
+(``_input_key``) matches ``--input``, and otherwise parses the input and
+leaves ``matrix.bin`` for the next. ``fit`` leaves ``model.txt`` and the
+users' labels under it as ``labels.bin`` (``kmeans.labels_key``); ``curves``
+reassigns the users when those labels do not match. Each command writes its
+resolved ``key = value`` config next to its outputs, so any artifact can be
+regenerated from the directory alone.
 
-Exit codes: 0 success, 2 usage or input error (an unreadable ``--input`` or
-an ``--out`` that cannot be made a directory among them), 3 methodology
-error (degenerate model), 4 internal invariant violation. Quality curves that
-do not cross are a result: ``threshold`` prints ``t*``, saying that the
-curves do not cross, writes ``intersection_position = "none"`` with a null
-crossing and the falling fit into ``summary.json``, and exits 0.
+Exit codes: 0 success (quality curves that do not cross are a result), 2
+usage or input error (an unreadable ``--input``, a missing or malformed file
+an earlier stage leaves, or an ``--out`` that cannot be made a directory
+among them), 3 methodology error (degenerate model), 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -33,9 +25,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,11 +107,7 @@ class RunConfig:
         return ds.BY_TIMESTAMP if self.dataset == "movielens" else ds.BY_ITEM_INDEX
 
     def resolved_threads(self) -> int:
-        if self.threads == 0:
-            import os
-
-            return os.cpu_count() or 1
-        return self.threads
+        return self.threads or os.cpu_count() or 1
 
     def kmeans_template(self) -> km.KMeansConfig:
         return km.KMeansConfig(n_clusters=1, seed=self.seed, **self._fields(_KMEANS_KEYS))
@@ -207,13 +197,22 @@ def write_resolved_config(cfg: RunConfig, out: Path) -> None:
 
 
 def _update_summary(out: Path, fragment: dict) -> None:
-    """Merge a stage's numbers into summary.json (stable key order on disk)."""
-    path = out / "summary.json"
-    summary = {}
-    if path.exists():
+    """Merge a stage's numbers into summary.json atomically, rebuilding one without a JSON object."""
+    path, tmp = out / "summary.json", out / "summary.json.tmp"
+    try:
         summary = json.loads(path.read_text(encoding="utf-8"))
-    summary.update(fragment)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        if not isinstance(summary, dict):
+            raise ValueError(f"it holds a JSON {type(summary).__name__}, not an object")
+    except FileNotFoundError:
+        summary = {}
+    except ValueError as e:  # not UTF-8, not JSON, or not an object
+        warnings.warn(f"rebuilding unreadable summary file {path}: {e}", stacklevel=2)
+        summary = {}
+    try:
+        tmp.write_text(json.dumps({**summary, **fragment}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # The parsed matrix a stage leaves in --out for later stages (ds.write_matrix).
@@ -234,12 +233,11 @@ def _input_key(dataset: str, path: Path) -> str:
     return h.hexdigest()
 
 
-def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
+def _load_matrix(cfg: RunConfig) -> tuple[ds.RatingMatrix, dict]:
     """The input matrix, and the summary keys naming the input, its size and where it came from.
 
-    With ``handoff`` set, the matrix a stage left in --out is read when its
-    key matches the input's; otherwise, or when there is none, the input is
-    parsed.
+    The matrix a stage left in --out is read when its key matches the
+    input's; otherwise, or when there is none, the input is parsed.
     """
     if not cfg.input:
         raise UsageError("--input is required for this command")
@@ -248,7 +246,7 @@ def _load_matrix(cfg: RunConfig, handoff: bool) -> tuple[ds.RatingMatrix, dict]:
         key = _input_key(cfg.dataset, path)
     except OSError as e:
         raise UsageError(f"cannot read input {path}: {e.strerror or e}") from None
-    m = ds.read_matrix(Path(cfg.out) / MATRIX_FILE, key) if handoff else None
+    m = ds.read_matrix(Path(cfg.out) / MATRIX_FILE, key)
     source = "parsed" if m is None else "handoff"
     if m is None and cfg.dataset == "jester":
         m = ds.parse_jester(path)
@@ -380,9 +378,7 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> di
     return fragment
 
 
-def _threshold(
-    cfg: RunConfig, m: ds.RatingMatrix | None, out: Path, input_key: str | None
-) -> dict:
+def _threshold(cfg: RunConfig, m: ds.RatingMatrix | None, out: Path, input_key: str | None) -> dict:
     # Reads only the curve CSVs; `m` and `input_key` are None when it runs alone.
     success = xp.read_success_csv(out / "success.csv")
     quality_c = xp.read_quality_csv(out / "quality.csv")
@@ -420,24 +416,16 @@ _STAGES = {
     "threshold": _threshold,
 }
 
-
-def _stages(command: str, cfg: RunConfig) -> tuple[str, ...]:
-    """The stages a command runs, in order."""
-    if command == "pipeline":
-        return tuple(s for s in _STAGES if s != "sweep" or cfg.coeffs)
-    if command == "threshold":
-        out = Path(cfg.out)
-        if not ((out / "success.csv").exists() and (out / "quality.csv").exists()):
-            if not cfg.input:
-                raise UsageError(
-                    f"curve CSVs not found in {out} and no --input given to compute them"
-                )
-            return ("curves", "threshold")
-    return (command,)
+# The files a stage reads from --out: (stage, the earlier stage that writes it, file).
+_PREREQUISITES = (
+    ("curves", "fit", "model.txt"),
+    ("threshold", "curves", "success.csv"),
+    ("threshold", "curves", "quality.csv"),
+)
 
 
-def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
-    """Check, parse the input, write the config, then run the stages in order.
+def _run(cfg: RunConfig, command: str) -> int:
+    """Check, read the input, write the config, then run the command's stages in order.
 
     Every usage check comes before the output directory is created, so a
     usage error leaves nothing behind. Each stage's timing covers the time
@@ -446,13 +434,16 @@ def _run(cfg: RunConfig, stages: tuple[str, ...]) -> int:
     """
     t0 = time.perf_counter()
     out = Path(cfg.out)
+    pipeline = tuple(s for s in _STAGES if s != "sweep" or cfg.coeffs)
+    stages = pipeline if command == "pipeline" else (command,)
     if "sweep" in stages and not cfg.coeffs:
         raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
-    if "curves" in stages and "fit" not in stages and not (out / "model.txt").exists():
-        raise UsageError(f"missing model file: {out / 'model.txt'} (run `fit` first)")
+    for stage, earlier, name in _PREREQUISITES:
+        if stage in stages and earlier not in stages and not (out / name).exists():
+            raise UsageError(f"missing {out / name} (run `{earlier}` first)")
     m, input_summary = None, {}
     if any(s != "threshold" for s in stages):
-        m, input_summary = _load_matrix(cfg, handoff="ingest" not in stages)
+        m, input_summary = _load_matrix(cfg)
     if "sweep" in stages:
         _sweep_users(cfg, m)
     if "curves" in stages:
@@ -519,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _run(cfg, _stages(args.command, cfg))
+        return _run(cfg, args.command)
     except (UsageError, ValueError, FileNotFoundError) as e:  # ValueError covers ParseError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,12 +17,12 @@ import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from .dataset import BY_ITEM_INDEX, PrefixOrdering, RatingMatrix, _gather_rows
-from .errors import DegenerateModelError
+from .errors import DegenerateModelError, ParseError
 from .kmeans import ClusterModel, _sq_dists
 from .quality import davies_bouldin
 
@@ -415,46 +415,53 @@ def regression_intersection(curve: QualityCurve) -> IntersectionReport:
     return IntersectionReport(log_fit, ref, t_cross, position)
 
 
-def write_success_csv(curve: SuccessCurve, dest: str | Path) -> None:
+def _write_points(points, point_type, dest: str | Path) -> None:
+    """The point type's fields, then each value cast to its column's type (numpy scalars too)."""
+    kinds = get_type_hints(point_type)
     with open(dest, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "success_fraction", "n_evaluated"])
-        for p in curve.points:
-            w.writerow([int(p.t), repr(float(p.success_fraction)), int(p.n_evaluated)])
+        w.writerow(point_type._fields)
+        w.writerows([kinds[f](v) for f, v in zip(point_type._fields, p)] for p in points)
+
+
+def _read_points(source: str | Path, point_type) -> tuple:
+    """The points ``_write_points`` wrote, skipping blank and ``#`` lines.
+
+    A wrong header, or a row without exactly one value of its column's type
+    per field, raises ``ParseError`` naming the file and the 1-based line.
+    """
+    kinds, fields = get_type_hints(point_type), point_type._fields
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    line, header = rows[0] if rows else (None, [])
+    if header != list(fields):
+        raise ParseError(f"{source}: header {','.join(header)} is not {','.join(fields)}", line)
+    points = []
+    for line, row in rows[1:]:
+        try:
+            points.append(point_type(*(kinds[f](v) for f, v in zip(fields, row, strict=True))))
+        except ValueError as e:
+            raise ParseError(f"{source}: row {','.join(row)} does not fit the header: {e}", line) from None
+    return tuple(points)
+
+
+def write_success_csv(curve: SuccessCurve, dest: str | Path) -> None:
+    _write_points(curve.points, SuccessPoint, dest)
 
 
 def read_success_csv(source: str | Path) -> SuccessCurve:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0] != ["t", "success_fraction", "n_evaluated"]:
-        raise ValueError(f"not a success-curve CSV: {source}")
-    points = tuple(
-        SuccessPoint(int(r[0]), float(r[1]), int(r[2])) for r in rows[1:]
-    )
-    return SuccessCurve(points=points)
+    """The curve ``write_success_csv`` wrote; ``ParseError`` on a malformed header or row."""
+    return SuccessCurve(points=_read_points(source, SuccessPoint))
 
 
 def write_quality_csv(curve: QualityCurve, dest: str | Path) -> None:
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "current_quality_mean", "reference_quality_mean"])
-        for p in curve.points:
-            w.writerow([
-                int(p.t),
-                repr(float(p.current_quality_mean)),
-                repr(float(p.reference_quality_mean)),
-            ])
+    _write_points(curve.points, QualityPoint, dest)
 
 
 def read_quality_csv(source: str | Path) -> QualityCurve:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0] != ["t", "current_quality_mean", "reference_quality_mean"]:
-        raise ValueError(f"not a quality-curve CSV: {source}")
-    points = tuple(
-        QualityPoint(int(r[0]), float(r[1]), float(r[2])) for r in rows[1:]
-    )
-    return QualityCurve(points=points)
+    """The curve ``write_quality_csv`` wrote; ``ParseError`` on a malformed header or row."""
+    return QualityCurve(points=_read_points(source, QualityPoint))
 
 
 def write_breakpoint_report(report: BreakpointReport, dest: str | Path) -> None:

@@ -259,10 +259,15 @@ def test_summary_names_the_input_and_where_its_matrix_came_from(ml_file, tmp_pat
     flags = ["--input", str(ml_file), "--out", str(out), *ML_FLAGS]
     tag = f"{ds.MATRIX_FORMAT} movielens\n".encode()
     key = hashlib.sha256(tag + ml_file.read_bytes()).hexdigest()
-    for stage, source in (("ingest", "parsed"), ("fit", "handoff"), ("curves", "handoff")):
+    stages = (("ingest", "parsed"), ("fit", "handoff"), ("curves", "handoff"), ("ingest", "handoff"))
+    for stage, source in stages:
         assert main([stage, *flags]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["input_sha256"], summary["matrix_source"]) == (key, source), stage
+        if source == "parsed":
+            canonical = (out / "canonical.csv").read_bytes()
+    # `ingest` exports the same bytes from the matrix file as from a parse.
+    assert (out / "canonical.csv").read_bytes() == canonical
 
 
 def test_stale_handoff_is_parsed_around(ml_file, tmp_path):
@@ -719,22 +724,63 @@ def test_two_cluster_pipeline_reports_flat_curves_as_not_crossing(jester_file, t
     assert len({(p.current_quality_mean, p.reference_quality_mean) for p in quality}) == 1
 
 
-def test_threshold_with_input_computes_missing_curves(ml_file, tmp_path):
-    flags, staged_flags = _fit_then_copy(ml_file, tmp_path, ML_FLAGS)
-    for stage in ("curves", "threshold"):
-        assert main([stage, *staged_flags]) == EXIT_OK
-
-    out, staged = tmp_path / "out", tmp_path / "bare"
-    assert not (out / "success.csv").exists()
-    assert main(["threshold", *flags]) == EXIT_OK
-    for name in ("success.csv", "success_mincohort.csv", "quality.csv", "threshold.txt"):
-        assert (out / name).read_bytes() == (staged / name).read_bytes(), name
+def test_threshold_with_input_but_no_curves_is_usage_error(ml_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    flags = ["--input", str(ml_file), "--out", str(out), *ML_FLAGS]
+    for stage in ("ingest", "fit"):
+        assert main([stage, *flags]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["threshold", *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: missing {out / 'success.csv'} (run `curves` first)\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_threshold_without_curves_or_input_is_usage_error(tmp_path, capsys):
     rc = main(["threshold", "--dataset", "jester", "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "curve" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["success.csv", "quality.csv"])
+@pytest.mark.parametrize(
+    "row", ["2,0.5", "2,0.5,50,7", "2,half,50"], ids=["short-row", "extra-field", "non-numeric"]
+)
+def test_malformed_curve_csv_is_usage_error(name, row, tmp_path, capsys):
+    out = tmp_path / "o"
+    _write_curves(out, -1.0)
+    lines = (out / name).read_text().splitlines()
+    lines[2] = row  # the t = 2 row, on line 3
+    (out / name).write_text("\n".join(lines) + "\n")
+    assert main(["threshold", "--dataset", "jester", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 3: {out / name}: row {row} does not fit the header: ")
+    assert "Traceback" not in err
+    assert not (out / "threshold.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda text: text[: len(text) // 2], lambda text: "[1, 2]\n"],
+    ids=["truncated", "json-list"],
+)
+def test_damaged_summary_warns_and_is_rebuilt(damage, tmp_path):
+    out = tmp_path / "o"
+    _write_curves(out, -1.0)
+    argv = ["threshold", "--dataset", "jester", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    path = out / "summary.json"
+    first = json.loads(path.read_text())
+    path.write_text(damage(path.read_text()))
+    with pytest.warns(UserWarning, match=f"unreadable summary file {re.escape(str(path))}"):
+        assert main(argv) == EXIT_OK
+    summary = json.loads(path.read_text())
+    assert set(summary) == set(first)
+    assert summary["breakpoint_t_star"] == first["breakpoint_t_star"] == 10
+    assert sorted(p.name for p in out.iterdir()) == [
+        "quality.csv", "resolved.config", "success.csv", "summary.json", "threshold.txt",
+    ]
 
 
 def test_degenerate_clustering_is_methodology_error(tmp_path, capsys):
@@ -757,17 +803,20 @@ def test_degenerate_clustering_is_methodology_error(tmp_path, capsys):
 
 
 def test_unexpected_exception_is_internal_error(jester_file, tmp_path, capsys, monkeypatch):
+    flags = [
+        "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
+        "--min-ratings", "50", "--sample", "20", "--out", str(tmp_path / "o"),
+    ]
+    assert main(["fit", *flags]) == EXIT_OK
+
     def boom(*args, **kwargs):
         raise RuntimeError("wires crossed")
 
     monkeypatch.setattr(cli.xp, "success_curve", boom)
-    rc = main([
-        "curves", "--dataset", "jester", "--input", str(jester_file),
-        "--k-coeff", "10", "--min-ratings", "50", "--sample", "20",
-        "--out", str(tmp_path / "o"),
-    ])
-    # curves needs a model on disk first
-    assert rc in (EXIT_USAGE, EXIT_INTERNAL)
+    assert main(["curves", *flags]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: wires crossed" in err
 
 
 def test_curves_call_each_curve_with_its_users_third(ml_file, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import experiment_oracle as oracle
 from conftest import matrix_from_dense
 from coldstart import experiment as xp
 from coldstart.dataset import BY_ITEM_INDEX, BY_TIMESTAMP
+from coldstart.errors import ParseError
 from coldstart.kmeans import ClusterModel, KMeansConfig, fit
 
 
@@ -419,8 +420,9 @@ def test_csv_round_trip_of_numpy_scalars(tmp_path):
 def test_read_success_csv_rejects_wrong_header(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="not a success-curve CSV"):
+    with pytest.raises(ParseError, match="header a,b,c is not t,success_fraction,n_evaluated") as e:
         xp.read_success_csv(p)
+    assert e.value.line_no == 1
 
 
 def test_breakpoint_report_file(tmp_path):
