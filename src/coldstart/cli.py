@@ -366,7 +366,7 @@ def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> di
 
     fragment = {"curve_users": len(users)}
     if cfg.dataset == "movielens":
-        min_count, min_cohort, _ = xp.split_by_min_count(m)
+        min_count, min_cohort = xp.split_by_min_count(m)
         cohort_curve = xp.success_curve(model, m, min_cohort, cfg.t_max, ordering)
         xp.write_success_csv(cohort_curve, out / "success_mincohort.csv")
         fragment["min_cohort_count"] = len(min_cohort)
@@ -425,12 +425,13 @@ _PREREQUISITES = (
 
 
 def _run(cfg: RunConfig, command: str) -> int:
-    """Check, read the input, write the config, then run the command's stages in order.
+    """Check, read the input, then run the command's stages in order.
 
     Every usage check comes before the output directory is created, so a
-    usage error leaves nothing behind. Each stage's timing covers the time
-    since the previous stage ended; the first stage's includes the checks
-    and the parse.
+    usage error leaves nothing behind; ``resolved.config`` and a parsed
+    ``matrix.bin`` are written once the first stage has succeeded. Each
+    stage's timing covers the time since the previous stage ended; the
+    first stage's includes the checks and the parse.
     """
     t0 = time.perf_counter()
     out = Path(cfg.out)
@@ -454,15 +455,13 @@ def _run(cfg: RunConfig, command: str) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot create output directory {out}: {e.strerror or e}") from None
-    write_resolved_config(cfg, out)
     key = input_summary.get("input_sha256")
-    parsed = input_summary.get("matrix_source") == "parsed"
-    for name in stages:
+    for i, name in enumerate(stages):
         fragment = {**_STAGES[name](cfg, m, out, key), **input_summary}
-        if parsed:
-            # Once the first stage has succeeded, leave the parsed matrix for later runs.
-            ds.write_matrix(m, out / MATRIX_FILE, key)
-            parsed = False
+        if i == 0:
+            write_resolved_config(cfg, out)
+            if input_summary.get("matrix_source") == "parsed":
+                ds.write_matrix(m, out / MATRIX_FILE, key)
         fragment[f"timing_{name}_s"] = round(time.perf_counter() - t0, 3)
         _update_summary(out, fragment)
         t0 = time.perf_counter()

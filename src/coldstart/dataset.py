@@ -145,22 +145,6 @@ class RatingMatrix:
     def n_ratings(self) -> int:
         return int(self.values.shape[0])
 
-    def row_length(self, user: int) -> int:
-        return int(self.indptr[user + 1] - self.indptr[user])
-
-    def row(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse row of one user as (item_indices, values) views."""
-        if not (0 <= user < self.n_users):
-            raise ValueError(f"user index {user} out of range [0, {self.n_users})")
-        lo, hi = self.indptr[user], self.indptr[user + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
-    def row_timestamps(self, user: int) -> np.ndarray | None:
-        if self.timestamps is None:
-            return None
-        lo, hi = self.indptr[user], self.indptr[user + 1]
-        return self.timestamps[lo:hi]
-
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
 

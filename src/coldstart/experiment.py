@@ -14,6 +14,7 @@ thread count.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +80,6 @@ class BreakpointReport:
     left_fit: LineFit
     right_fit: LineFit
     total_sse: float
-    search_range: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,13 @@ class IntersectionReport:
 class PrefixReplay:
     """Labels of every user's rating prefixes against a frozen model.
 
-    Row j belongs to ``users[j]`` (duplicates and order as given).
-    ``labels[t - 1, j]`` is the label of that user's first min(t, history)
-    ratings for t = 1..t_max, and ``final[j]`` the label of the whole
-    history, read from the same running sums, so a saturated prefix carries
-    exactly the final label.
+    Row j belongs to the caller's ``users[j]`` (duplicates and order as
+    given). ``labels[t - 1, j]`` is the label of that user's first
+    min(t, history) ratings for t = 1..t_max, and ``final[j]`` the label of
+    the whole history, read from the same running sums, so a saturated
+    prefix carries exactly the final label.
     """
 
-    users: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
     final: np.ndarray
@@ -187,7 +186,7 @@ def prefix_replay(
 
     back = np.empty_like(order)
     back[order] = np.arange(n)
-    return PrefixReplay(users, lengths, labels[:, back], final[back])
+    return PrefixReplay(lengths, labels[:, back], final[back])
 
 
 def success_curve(
@@ -238,11 +237,11 @@ def quality_curve(
     return QualityCurve(points=tuple(points))
 
 
-def split_by_min_count(m: RatingMatrix) -> tuple[int, np.ndarray, np.ndarray]:
-    """Users holding exactly the dataset's minimum rating count, and everyone else."""
+def split_by_min_count(m: RatingMatrix) -> tuple[int, np.ndarray]:
+    """The dataset's minimum rating count and the users holding exactly that many."""
     lengths = m.row_lengths()
     mn = int(lengths.min())
-    return mn, np.flatnonzero(lengths == mn), np.flatnonzero(lengths > mn)
+    return mn, np.flatnonzero(lengths == mn)
 
 
 def _ols_line(t: np.ndarray, y: np.ndarray) -> LineFit:
@@ -259,7 +258,7 @@ def _exp_tangent_model(t: np.ndarray, amp: float, tau: float, knee: float) -> np
     return np.where(t <= knee, head, y_knee + slope * (t - knee))
 
 
-def _fit_exp_tangent(tr: np.ndarray, yr: np.ndarray, candidates: list[int]):
+def _fit_exp_tangent(t: np.ndarray, y: np.ndarray, candidates: list[int]):
     """Best integer knee for the joint exponential-plus-tangent model.
 
     The tangent graft is C1-smooth, so no line-based split can see it; the
@@ -272,18 +271,18 @@ def _fit_exp_tangent(tr: np.ndarray, yr: np.ndarray, candidates: list[int]):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OptimizeWarning)
         for ts in candidates:
-            p0 = (max(float(yr.max()), 1e-9), max(ts / 3.0, 1.0))
+            p0 = (max(float(y.max()), 1e-9), max(ts / 3.0, 1.0))
             try:
                 params, _ = curve_fit(
                     lambda tt, amp, tau: _exp_tangent_model(tt, amp, tau, ts),
-                    tr,
-                    yr,
+                    t,
+                    y,
                     p0=p0,
                     maxfev=2000,
                 )
             except RuntimeError:
                 continue
-            resid = yr - _exp_tangent_model(tr, params[0], params[1], ts)
+            resid = y - _exp_tangent_model(t, params[0], params[1], ts)
             total = float(resid @ resid)
             if best is None or total < best[0]:
                 best = (total, ts, float(params[0]), float(params[1]))
@@ -292,18 +291,14 @@ def _fit_exp_tangent(tr: np.ndarray, yr: np.ndarray, candidates: list[int]):
     return best
 
 
-def detect_breakpoint(
-    curve: SuccessCurve,
-    method: str = SEGMENTED_LINEAR,
-    t_min: int | None = None,
-    t_max: int | None = None,
-) -> BreakpointReport:
+def detect_breakpoint(curve: SuccessCurve, method: str = SEGMENTED_LINEAR) -> BreakpointReport:
     """Locate the prefix length where curve growth changes regime.
 
-    segmented_linear scans every integer candidate t* in (t_min, t_max),
-    fits an ordinary least-squares line to the points at t < t* and another
-    to the points from t* on, and keeps the candidate with the smallest
-    summed SSE (ties to the smallest t*); it pinpoints slope discontinuities.
+    The search spans the whole curve. segmented_linear scans every integer
+    candidate t* strictly between the first and the last point's t, fits an
+    ordinary least-squares line to the points at t < t* and another to the
+    points from t* on, and keeps the candidate with the smallest summed SSE
+    (ties to the smallest t*); it pinpoints slope discontinuities.
     kneedle takes the point farthest from the chord between the curve's
     endpoints after min-max normalization. exp_tangent jointly fits an
     exponential rise grafted onto its own tangent at the knee — the right
@@ -318,18 +313,14 @@ def detect_breakpoint(
         raise ValueError(f"unknown method {method!r}")
     t = np.array([p.t for p in curve.points], dtype=np.float64)
     y = np.array([p.success_fraction for p in curve.points], dtype=np.float64)
-    lo = int(t[0]) if t_min is None else int(t_min)
-    hi = int(t[-1]) if t_max is None else int(t_max)
-    in_range = (t >= lo) & (t <= hi)
-    tr, yr = t[in_range], y[in_range]
-    # Candidate split points: >= 4 points on each side, strictly inside [lo, hi].
+    # Candidate split points: >= 4 points on each side, strictly inside the curve.
     # The left segment is t < t*, the right t >= t*: on a continuous hinge the
     # knee point lies on both lines, and this split makes the smallest zero-SSE
     # candidate the knee itself.
     candidates = [
         int(ts)
-        for ts in tr
-        if lo < ts < hi and (tr < ts).sum() >= 4 and (tr >= ts).sum() >= 4
+        for ts in t
+        if t[0] < ts < t[-1] and (t < ts).sum() >= 4 and (t >= ts).sum() >= 4
     ]
     if not candidates:
         raise ValueError(
@@ -340,9 +331,9 @@ def detect_breakpoint(
     if method == SEGMENTED_LINEAR:
         fits = []
         for ts in candidates:
-            left = tr < ts
-            lf = _ols_line(tr[left], yr[left])
-            rf = _ols_line(tr[~left], yr[~left])
+            left = t < ts
+            lf = _ols_line(t[left], y[left])
+            rf = _ols_line(t[~left], y[~left])
             fits.append((lf.sse + rf.sse, ts, lf, rf))
         # ties go to the smallest t*; "tie" tolerates float dust so that the
         # exactly-recoverable cases (piecewise-linear, flat) stay deterministic
@@ -350,38 +341,31 @@ def detect_breakpoint(
         tol = 1e-9 * (1.0 + min_total)
         total, t_star, lf, rf = next(f for f in fits if f[0] <= min_total + tol)
     elif method == EXP_TANGENT:
-        total, t_star, amp, tau = _fit_exp_tangent(tr, yr, candidates)
-        left = tr < t_star
-        lf = _ols_line(tr[left], yr[left])
+        total, t_star, amp, tau = _fit_exp_tangent(t, y, candidates)
+        left = t < t_star
+        lf = _ols_line(t[left], y[left])
         # the grafted tangent itself, as a line in t
         slope = amp / tau * np.exp(-t_star / tau)
         y_knee = amp * (1.0 - np.exp(-t_star / tau))
-        resid = yr[~left] - (y_knee + slope * (tr[~left] - t_star))
+        resid = y[~left] - (y_knee + slope * (t[~left] - t_star))
         rf = LineFit(float(slope), float(y_knee - slope * t_star), float(resid @ resid))
     else:
-        tn = (tr - tr[0]) / (tr[-1] - tr[0])
-        span = yr.max() - yr.min()
-        yn = (yr - yr.min()) / span if span > 0 else np.zeros_like(yr)
+        tn = (t - t[0]) / (t[-1] - t[0])
+        span = y.max() - y.min()
+        yn = (y - y.min()) / span if span > 0 else np.zeros_like(y)
         # distance from each normalized point to the endpoint chord
         dx, dy = tn[-1] - tn[0], yn[-1] - yn[0]
         norm = np.hypot(dx, dy)
         dist = np.abs(dx * (yn - yn[0]) - dy * (tn - tn[0])) / norm
-        allowed = np.isin(tr, candidates)
+        allowed = np.isin(t, candidates)
         dist = np.where(allowed, dist, -np.inf)
-        t_star = int(tr[int(np.argmax(dist))])
-        left = tr < t_star
-        lf = _ols_line(tr[left], yr[left])
-        rf = _ols_line(tr[~left], yr[~left])
+        t_star = int(t[int(np.argmax(dist))])
+        left = t < t_star
+        lf = _ols_line(t[left], y[left])
+        rf = _ols_line(t[~left], y[~left])
         total = lf.sse + rf.sse
 
-    return BreakpointReport(
-        t_star=t_star,
-        method=method,
-        left_fit=lf,
-        right_fit=rf,
-        total_sse=total,
-        search_range=(lo, hi),
-    )
+    return BreakpointReport(t_star, method, lf, rf, total)
 
 
 def regression_intersection(curve: QualityCurve) -> IntersectionReport:
@@ -427,13 +411,21 @@ def _write_points(points, point_type, dest: str | Path) -> None:
 def _read_points(source: str | Path, point_type) -> tuple:
     """The points ``_write_points`` wrote, skipping blank and ``#`` lines.
 
-    A wrong header, or a row without exactly one value of its column's type
-    per field, raises ``ParseError`` naming the file and the 1-based line.
+    Bytes that are not UTF-8, a field longer than ``csv.field_size_limit()``,
+    a wrong header, or a row without exactly one value of its column's type
+    per field raise ``ParseError`` naming the file and the 1-based line.
     """
     kinds, fields = get_type_hints(point_type), point_type._fields
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    data = Path(source).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{source}: not UTF-8 text: {e}", data.count(b"\n", 0, e.start) + 1) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    except csv.Error as e:
+        raise ParseError(f"{source}: {e}", reader.line_num) from None
     line, header = rows[0] if rows else (None, [])
     if header != list(fields):
         raise ParseError(f"{source}: header {','.join(header)} is not {','.join(fields)}", line)

@@ -15,6 +15,7 @@ or count beyond int64 and digits with ``_`` or outside ASCII are rejected
 (the originals accepted them, and an id beyond int64 then overflowed), and
 numbers padded with the control characters ``\x1c``-``\x1f`` are accepted.
 
+``row`` and ``row_timestamps`` read one user's slice of a matrix, and
 ``prefix`` is the one-user form of the prefixes that
 ``experiment.prefix_replay`` walks for whole cohorts; the unit tests pin the
 prefix orderings on it.
@@ -228,6 +229,19 @@ def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
         _write(dest)
 
 
+def row(m: RatingMatrix, user: int) -> tuple[np.ndarray, np.ndarray]:
+    """One user's sparse row as (item_indices, values) views."""
+    lo, hi = m.indptr[user], m.indptr[user + 1]
+    return m.indices[lo:hi], m.values[lo:hi]
+
+
+def row_timestamps(m: RatingMatrix, user: int) -> np.ndarray | None:
+    """One user's rating timestamps, aligned with ``row``; None when the matrix has none."""
+    if m.timestamps is None:
+        return None
+    return m.timestamps[m.indptr[user] : m.indptr[user + 1]]
+
+
 def prefix(
     m: RatingMatrix,
     user: int,
@@ -241,13 +255,13 @@ def prefix(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    idx, vals = m.row(user)
+    idx, vals = row(m, user)
     take = min(t, len(idx))
 
     if ordering.kind == "by_item_index":
         sel = np.arange(take)
     else:
-        ts = m.row_timestamps(user)
+        ts = row_timestamps(m, user)
         if ts is None:
             raise ValueError("by_timestamp ordering requires timestamps")
         # Tie-break on item index; np.lexsort's last key is primary.

@@ -22,6 +22,7 @@ import dataclasses
 import numpy as np
 
 import kmeans_oracle
+from dataset_oracle import row
 from coldstart.dataset import RatingMatrix, _gather_rows, segment_sums
 from coldstart.kmeans import ClusterModel, KMeansConfig, fit, n_clusters_from_coeff
 from coldstart.recsys_eval import (
@@ -53,7 +54,7 @@ def holdout_split(
     pools: list[np.ndarray] = []
     all_items = np.arange(m.n_items)
     for u in range(m.n_users):
-        idx, vals = m.row(u)
+        idx, vals = row(m, u)
         local = rng.choice(len(idx), size=ecfg.holdout_per_user, replace=False)
         keep[m.indptr[u] + local] = False
         held_items.append(idx[local].copy())

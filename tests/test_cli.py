@@ -761,6 +761,45 @@ def test_malformed_curve_csv_is_usage_error(name, row, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, damage, where",
+    [
+        # A field longer than csv.field_size_limit() on the t = 2 row.
+        ("success.csv", lambda lines: [*lines[:2], b"2," + b"5" * 200_000 + b",50", *lines[3:]], "line 3"),
+        # A byte that is not UTF-8 on a line of its own after the last row.
+        ("quality.csv", lambda lines: [*lines, b"\xff"], "line 22"),
+    ],
+    ids=["oversized-field", "not-utf8"],
+)
+def test_unreadable_curve_csv_is_usage_error_naming_the_file(name, damage, where, tmp_path, capsys):
+    out = tmp_path / "o"
+    _write_curves(out, -1.0)
+    lines = (out / name).read_bytes().splitlines()
+    (out / name).write_bytes(b"\n".join(damage(lines)) + b"\n")
+    assert main(["threshold", "--dataset", "jester", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: {out / name}: ")
+    assert "Traceback" not in err
+    assert not (out / "threshold.txt").exists()
+
+
+@pytest.mark.parametrize("earlier", [None, "dataset = jester\nseed = 7\n"], ids=["absent", "kept"])
+def test_threshold_that_fails_leaves_resolved_config_as_it_was(earlier, tmp_path):
+    out = tmp_path / "o"
+    _write_curves(out, -1.0)
+    lines = (out / "success.csv").read_text().splitlines()
+    lines[2] = "2,0.5"
+    (out / "success.csv").write_text("\n".join(lines) + "\n")
+    config = out / "resolved.config"
+    if earlier is not None:
+        config.write_text(earlier)
+    assert main(["threshold", "--dataset", "jester", "--seed", "3", "--out", str(out)]) == EXIT_USAGE
+    if earlier is None:
+        assert not config.exists()
+    else:
+        assert config.read_bytes() == earlier.encode()
+
+
+@pytest.mark.parametrize(
     "damage",
     [lambda text: text[: len(text) // 2], lambda text: "[1, 2]\n"],
     ids=["truncated", "json-list"],
@@ -1015,6 +1054,20 @@ def test_console_script_help_and_exit_codes(tmp_path):
         )
         assert res.returncode == EXIT_USAGE
         assert not (tmp_path / "coldstart_out").exists()
+
+
+def test_package_root_imports_no_module():
+    # The root exports nothing, so `import coldstart` loads neither a submodule nor numpy.
+    script = (
+        "import sys, coldstart\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'coldstart'), 'numpy' in sys.modules)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "['coldstart'] False"
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

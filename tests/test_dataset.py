@@ -71,11 +71,11 @@ def test_parse_movielens_roundtrip():
     assert m.n_users == 2 and m.n_items == 2
     assert m.user_ids.tolist() == [1, 3]
     assert m.item_ids.tolist() == [10, 20]
-    idx, vals = m.row(0)  # user 1
+    idx, vals = oracle.row(m, 0)  # user 1
     assert idx.tolist() == [0, 1]
     assert vals.tolist() == [5.0, 3.0]
     assert m.timestamps is not None
-    assert m.row_timestamps(1).tolist() == [978300760, 978300275]
+    assert oracle.row_timestamps(m, 1).tolist() == [978300760, 978300275]
 
 
 @pytest.mark.parametrize(
@@ -108,10 +108,10 @@ def test_parse_jester_grid():
     text = "\n".join([_jester_line(2, cells0), _jester_line(1, cells1)]) + "\n"
     m = ds.parse_jester(io.StringIO(text))
     assert m.n_users == 2 and m.n_items == 100
-    idx, vals = m.row(0)
+    idx, vals = oracle.row(m, 0)
     assert idx.tolist() == [0, 5]
     np.testing.assert_allclose(vals, [1.0, 5.0])
-    idx, vals = m.row(1)
+    idx, vals = oracle.row(m, 1)
     assert idx.tolist() == [5]
     np.testing.assert_allclose(vals, [3.0])
     assert m.scheme is ds.JESTER_AFFINE
@@ -123,7 +123,7 @@ def test_parse_jester_with_user_id_column():
     text = "7," + _jester_line(1, cells) + "\n"
     m = ds.parse_jester(io.StringIO(text))
     assert m.user_ids.tolist() == [7]
-    assert m.row(0)[0].tolist() == [3]
+    assert oracle.row(m, 0)[0].tolist() == [3]
 
 
 def test_parse_jester_tab_delimited():
@@ -185,7 +185,7 @@ def test_build_matrix_rows_sorted_and_ids_compacted():
     m = ds.build_matrix(_events([9, 9, 4], [30, 10, 20], [1.0, 2.0, 3.0]))
     assert m.user_ids.tolist() == [4, 9]
     assert m.item_ids.tolist() == [10, 20, 30]
-    idx, vals = m.row(1)
+    idx, vals = oracle.row(m, 1)
     assert idx.tolist() == [0, 2]
     assert vals.tolist() == [2.0, 1.0]
 
@@ -291,7 +291,7 @@ def test_prefixes_are_nested(mk_matrix):
     for ordering in (ds.BY_ITEM_INDEX, ds.BY_TIMESTAMP):
         for u in range(m.n_users):
             prev: set[int] = set()
-            for t in range(1, m.row_length(u) + 1):
+            for t in range(1, m.row_lengths()[u] + 1):
                 idx, _ = oracle.prefix(m, u, t, ordering)
                 cur = set(idx.tolist())
                 assert len(cur) == t
@@ -589,7 +589,7 @@ def test_written_matrix_reads_back_as_parsed(dataset, tmp_path):
         else:
             assert have.dtype == want.dtype and np.array_equal(have, want), name
     assert (m.timestamps is None) == (dataset == "jester")
-    assert m.row_length(1) == (0 if dataset == "jester" else 2)
+    assert m.row_lengths()[1] == (0 if dataset == "jester" else 2)
     # The bytes depend only on the matrix and the key, and no temporary file stays.
     again = tmp_path / "again.bin"
     ds.write_matrix(got, again, "key-1")

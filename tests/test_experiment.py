@@ -186,7 +186,6 @@ def test_prefix_replay_matches_csr_oracle(seed, ordering):
     model, m, users, t_max = _replay_case(seed)
     replay = xp.prefix_replay(model, m, users, t_max, ordering)
     lens = m.indptr[users + 1] - m.indptr[users]
-    assert replay.users.tolist() == users.tolist()
     assert replay.lengths.tolist() == lens.tolist()
     assert replay.labels.shape == (t_max, len(users))
     dup = model.n_clusters - 1  # an exact tie with an earlier centroid goes to that one
@@ -254,10 +253,9 @@ def test_split_by_min_count(mk_matrix):
             [1.0, 2.0, 3.0],
         ]
     )
-    mn, exact, rest = xp.split_by_min_count(m)
+    mn, exact = xp.split_by_min_count(m)
     assert mn == 1
     assert exact.tolist() == [1, 2]
-    assert rest.tolist() == [0, 3]
 
 
 # ---------------------------------------------------------------- breakpoint detection
@@ -271,20 +269,11 @@ def test_segmented_linear_recovers_piecewise_exactly():
     assert rep.total_sse == pytest.approx(0.0, abs=1e-18)
     assert rep.left_fit.slope == pytest.approx(0.02)
     assert rep.right_fit.slope == pytest.approx(0.001)
-    assert rep.search_range == (1, 60)
 
 
 def test_segmented_linear_flat_curve_ties_to_smallest():
     rep = xp.detect_breakpoint(_curve(range(1, 21), [0.5] * 20))
     assert rep.t_star == 5  # smallest candidate with 4 points on the left
-
-
-def test_detect_breakpoint_respects_search_range():
-    t = np.arange(1, 61)
-    y = np.where(t < 25, 0.5 + 0.02 * (t - 25.0), 0.5 + 0.001 * (t - 25.0))
-    rep = xp.detect_breakpoint(_curve(t, y), t_min=10, t_max=50)
-    assert rep.t_star == 25
-    assert rep.search_range == (10, 50)
 
 
 def test_detect_breakpoint_needs_enough_points():

@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 import quality_oracle as oracle
+from dataset_oracle import row
 from conftest import matrix_from_dense
 from coldstart import quality as q
 from coldstart.errors import DegenerateModelError
@@ -22,7 +23,7 @@ def _model(centroids, labels):
 def _dense(m):
     out = np.zeros((m.n_users, m.n_items))
     for u in range(m.n_users):
-        idx, vals = m.row(u)
+        idx, vals = row(m, u)
         out[u, idx] = vals
     return out
 

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import recsys_oracle as oracle
+from dataset_oracle import row
 from conftest import matrix_from_dense
 from hypothesis import given, settings, strategies as st
 
@@ -289,12 +290,12 @@ def test_holdout_and_pool_never_meet_the_training_row(case):
     m, _, ecfg = case
     train, held, _, pools = rv._holdout_split(m, ecfg)
     for u in range(m.n_users):
-        row, _ = train.row(u)
+        train_items, _ = row(train, u)
         assert len(np.unique(pools[u])) == len(pools[u])
         assert len(np.unique(held[u])) == len(held[u])
         assert not np.intersect1d(held[u], pools[u]).size
-        assert not np.intersect1d(held[u], row).size
-        assert not np.intersect1d(pools[u], row).size
+        assert not np.intersect1d(held[u], train_items).size
+        assert not np.intersect1d(pools[u], train_items).size
 
 
 def test_write_sweep_csv(tmp_path):
