@@ -300,7 +300,7 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     kcfg = dataclasses.replace(cfg.kmeans_template(), n_clusters=k)
     model = km.fit(m, kcfg, threads=cfg.resolved_threads())
     km.save_model(model, out / "model.txt")
-    km.save_labels(model, m, out / LABELS_FILE, input_key)
+    km.save_labels(model, out / LABELS_FILE, input_key)
     db_signed = None
     if k >= 2:
         try:
@@ -352,9 +352,6 @@ def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dic
 
 
 def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
-    # Reloaded even right after `fit`: the assignments are the nearest
-    # centroids, without fit's empty-cluster repair, so a staged rerun sees
-    # the same model.
     model = km.load_model(out / "model.txt", m, labels=(out / LABELS_FILE, input_key))
     users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()

@@ -412,8 +412,9 @@ def _read_points(source: str | Path, point_type) -> tuple:
     """The points ``_write_points`` wrote, skipping blank and ``#`` lines.
 
     Bytes that are not UTF-8, a field longer than ``csv.field_size_limit()``,
-    a wrong header, or a row without exactly one value of its column's type
-    per field raise ``ParseError`` naming the file and the 1-based line.
+    a wrong header, a row without exactly one value of its column's type per
+    field, or a ``t`` below 1 or not above the previous row's raise
+    ``ParseError`` naming the file and the 1-based line.
     """
     kinds, fields = get_type_hints(point_type), point_type._fields
     data = Path(source).read_bytes()
@@ -432,9 +433,14 @@ def _read_points(source: str | Path, point_type) -> tuple:
     points = []
     for line, row in rows[1:]:
         try:
-            points.append(point_type(*(kinds[f](v) for f, v in zip(fields, row, strict=True))))
+            p = point_type(*(kinds[f](v) for f, v in zip(fields, row, strict=True)))
         except ValueError as e:
             raise ParseError(f"{source}: row {','.join(row)} does not fit the header: {e}", line) from None
+        previous = points[-1].t if points else 0
+        if p.t <= previous:
+            order = "below 1" if p.t < 1 else f"not above the previous row's t = {previous}"
+            raise ParseError(f"{source}: t = {p.t} is {order}", line)
+        points.append(p)
     return tuple(points)
 
 

@@ -4,13 +4,13 @@ Unrated dimensions enter distances and centroid means as 0.0. Rows meet
 centroids through one product kernel, chosen once per matrix from its fill
 ratio: a dense array multiplied by BLAS when at least ``DENSE_FILL`` of the
 cells hold a rating, the CSR matrix otherwise. The k-means++ init, every Lloyd
-assignment, the empty-cluster repair and ``nearest_centroids`` (the pass that
-``load_model`` derives a saved model's assignments with, and whose result
-``save_labels`` writes) all go through it, and every distance comes from one
-expansion, ``_sq_dists``: (-2·x·c + ‖x‖²) + ‖c‖². A loaded model's
-assignments need no kernel, and so on a CSR matrix no scipy, when they are
-read from ``save_labels``' file, keyed by what they depend on: the
-centroids' bytes and the caller's key for the input (``labels_key``). Row
+assignment, the empty-cluster repair and ``_nearest`` all go through it, and
+every distance comes from one expansion, ``_sq_dists``: (-2·x·c + ‖x‖²) +
+‖c‖². A model's ``assignments`` are each row's nearest centroid, from one
+``_nearest`` pass that ``fit`` and ``load_model`` make alike. ``save_labels``
+writes them keyed by what they depend on: the centroids' bytes and the
+caller's key for the input (``labels_key``); a loaded model that reads them
+there needs no kernel, and so on a CSR matrix no scipy. Row
 norms, like every other per-row sum, are a segment sum in storage order
 (``dataset.segment_sums``), so ``fit``, ``load_model``, ``sse``,
 Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix replay of a whole row all
@@ -108,12 +108,14 @@ class RestartRecord(NamedTuple):
 class ClusterModel:
     """Fitted model: dense centroids, per-user assignments and the total SSE.
 
-    `step_sse` is populated only when the fit was asked to collect it: one
-    tuple of per-step SSE values per executed restart, in restart order.
-    `restarts` holds one `RestartRecord` per restart, in restart order; it
-    is None for a loaded model. `kernel` names the product kernel that
-    assigned the rows ("dense" or "csr"). Both are None for a model built
-    by hand.
+    `assignments` holds each row's nearest centroid (ties to the lower
+    index), fitted or loaded. `sse` is the winning restart's final Lloyd
+    SSE, as ``save_model`` writes it. `step_sse` is populated only when the
+    fit was asked to collect it: one tuple of per-step SSE values per
+    executed restart, in restart order. `restarts` holds one
+    `RestartRecord` per restart, in restart order; it is None for a loaded
+    model. `kernel` names the product kernel that assigned the rows
+    ("dense" or "csr"). Both are None for a model built by hand.
     """
 
     centroids: np.ndarray
@@ -283,6 +285,15 @@ def _assign_all(X, xnorms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarra
     return labels, dists
 
 
+def _nearest(X, xnorms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Every row's nearest centroid, ties to the lower index, as read-only int64 labels."""
+    with _one_blas_thread():
+        labels, _ = _assign_all(X, xnorms, centroids)
+    labels = labels.astype(np.int64)
+    labels.flags.writeable = False
+    return labels
+
+
 def _repair_empty(
     X,
     labels: np.ndarray,
@@ -355,13 +366,12 @@ def _lloyd(
     xnorms: np.ndarray,
     centroids: np.ndarray,
     cfg: KMeansConfig,
-) -> tuple[np.ndarray, np.ndarray, list[float], RestartRecord]:
-    """One Lloyd run. Returns (centroids, labels, per-step SSE, how it ended).
+) -> tuple[np.ndarray, list[float], RestartRecord]:
+    """One Lloyd run. Returns (centroids, per-step SSE, how it ended).
 
     `X` holds the rows for the product kernel; the mean update reads the
-    same rows from `m`. Every step assigns and repairs first, so the
-    returned labels belong to the returned centroids and the last SSE is
-    theirs.
+    same rows from `m`. Every step assigns and repairs first, so the last
+    SSE belongs to the returned centroids.
     """
     labels = None
     shift = np.inf
@@ -379,7 +389,7 @@ def _lloyd(
         else:
             stop = None
         if stop is not None:
-            return centroids, new_labels, history, RestartRecord(step, stop, history[-1])
+            return centroids, history, RestartRecord(step, stop, history[-1])
         labels = new_labels
         new_centroids = _cluster_means(m, labels, centroids.shape[0])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
@@ -402,7 +412,9 @@ def fit(
     `max_steps` is reached. Empty clusters are repaired by promoting the
     point farthest from its centroid to a singleton cluster. Restarts run on
     up to `threads` worker threads, each restart whole on one thread, so the
-    result is the same for any thread count.
+    result is the same for any thread count. The model's `assignments` are
+    each row's nearest final centroid, from one more pass; its `sse` is the
+    winner's final Lloyd SSE.
     """
     if m.n_users < 1:
         raise ValueError("cannot fit on an empty matrix")
@@ -419,21 +431,23 @@ def fit(
 
     # Results arrive in restart order; each is dropped once compared, so only
     # the best run and those still in flight are held.
-    best_sse, centroids, labels = 0.0, None, None
+    best_sse, centroids = 0.0, None
     histories, records = [], []
     with (
         _one_blas_thread(),
         ThreadPoolExecutor(max_workers=min(max(threads, 1), cfg.restarts)) as ex,
     ):
-        for c, lab, history, record in ex.map(run, range(cfg.restarts)):
+        for c, history, record in ex.map(run, range(cfg.restarts)):
             histories.append(tuple(history))
             records.append(record)
             if centroids is None or record.sse < best_sse:  # ties: the earlier restart
-                best_sse, centroids, labels = record.sse, c, lab
-    centroids = centroids.copy()
-    centroids.flags.writeable = False
-    labels = labels.astype(np.int64)
-    labels.flags.writeable = False
+                best_sse, centroids = record.sse, c
+        # C order, as load_model reads them: a product's last bits can depend on the layout.
+        centroids = centroids.copy()
+        centroids.flags.writeable = False
+        # On a worker, whose heap still holds the Lloyd steps' freed blocks:
+        # on the main thread this pass raised movielens-sweep's peak RSS by 7 MB.
+        labels = ex.submit(_nearest, X, xnorms, centroids).result()
     return ClusterModel(
         centroids=centroids,
         assignments=labels,
@@ -497,23 +511,6 @@ def save_model(model: ClusterModel, path: str | Path) -> None:
         np.savetxt(fh, model.centroids, fmt="%.17g")
 
 
-def nearest_centroids(m: RatingMatrix, centroids: np.ndarray) -> np.ndarray:
-    """Every row's nearest centroid, from one pass with no empty-cluster repair.
-
-    This is the pass ``load_model`` derives a saved model's assignments
-    with. It differs from ``fit``'s ``assignments`` wherever the fit's last
-    repair moved a row.
-    """
-    X, _ = _kernel_rows(m)
-    # C order, as load_model reads them: a product's last bits can depend on the layout.
-    centroids = np.ascontiguousarray(centroids)
-    with _one_blas_thread():
-        labels, _ = _assign_all(X, _row_sq_norms(m), centroids)
-    labels = labels.astype(np.int64)
-    labels.flags.writeable = False
-    return labels
-
-
 def labels_key(centroids: np.ndarray, input_key: str) -> str:
     """sha256 of a format tag, the centroids' shape and C-order bytes, and ``input_key``.
 
@@ -527,16 +524,15 @@ def labels_key(centroids: np.ndarray, input_key: str) -> str:
     return h.hexdigest()
 
 
-def save_labels(model: ClusterModel, m: RatingMatrix, path: str | Path, input_key: str) -> None:
-    """Write ``nearest_centroids(m, model.centroids)`` to ``path``, replacing it.
+def save_labels(model: ClusterModel, path: str | Path, input_key: str) -> None:
+    """Write ``model.assignments`` to ``path``, replacing it.
 
-    ``input_key`` names the input ``m`` was read from; the file is keyed by
-    ``labels_key`` of it and the centroids. These are the labels
-    ``load_model`` derives on ``m`` from the saved model, and it takes them
-    from ``path`` instead.
+    ``input_key`` names the input the model's rows were read from; the file
+    is keyed by ``labels_key`` of it and the centroids. These are the labels
+    ``load_model`` derives on that input from the saved model, and it takes
+    them from ``path`` instead.
     """
-    labels = nearest_centroids(m, model.centroids)
-    write_records(path, labels_key(model.centroids, input_key), [labels])
+    write_records(path, labels_key(model.centroids, input_key), [model.assignments])
 
 
 def _read_labels(
@@ -569,11 +565,11 @@ def load_model(
 ) -> ClusterModel:
     """Read a persisted model and derive per-user assignments on the given matrix.
 
-    The assignments are ``nearest_centroids`` of the saved centroids. With
-    ``labels``, a (path, input key) pair, they are read from the file
-    ``save_labels`` wrote for these centroids on that input; when it is
-    missing, holds another key or is damaged (the last with a warning), they
-    are derived.
+    The assignments are each row's nearest saved centroid, the labels
+    ``fit`` gave the model. With ``labels``, a (path, input key) pair, they
+    are read from the file ``save_labels`` wrote for these centroids on that
+    input; when it is missing, holds another key or is damaged (the last
+    with a warning), they are derived.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -588,7 +584,7 @@ def load_model(
         raise ValueError("matrix item space does not match the model file")
     assignments = _read_labels(*labels, centroids, m.n_users) if labels else None
     if assignments is None:
-        assignments = nearest_centroids(m, centroids)
+        assignments = _nearest(_kernel_rows(m)[0], _row_sq_norms(m), centroids)
     centroids.flags.writeable = False
     return ClusterModel(
         centroids=centroids,

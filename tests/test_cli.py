@@ -760,15 +760,33 @@ def test_malformed_curve_csv_is_usage_error(name, row, tmp_path, capsys):
     assert not (out / "threshold.txt").exists()
 
 
+# Rows out of t order, in either curve file: (damage, the line it names, id).
+_T_ORDER_DAMAGE = [
+    # The rows reversed: t = 19 follows t = 20.
+    (lambda lines: [lines[0], *lines[:0:-1]], "line 3", "reversed"),
+    # The t = 2 row at t = 1 again.
+    (lambda lines: [*lines[:2], b"1" + lines[2][1:], *lines[3:]], "line 3", "repeated-t"),
+    # The first row at t = 0.
+    (lambda lines: [lines[0], b"0" + lines[1][1:], *lines[2:]], "line 2", "t-zero"),
+]
+
+
 @pytest.mark.parametrize(
     "name, damage, where",
     [
         # A field longer than csv.field_size_limit() on the t = 2 row.
-        ("success.csv", lambda lines: [*lines[:2], b"2," + b"5" * 200_000 + b",50", *lines[3:]], "line 3"),
+        pytest.param(
+            "success.csv", lambda lines: [*lines[:2], b"2," + b"5" * 200_000 + b",50", *lines[3:]], "line 3",
+            id="oversized-field",
+        ),
         # A byte that is not UTF-8 on a line of its own after the last row.
-        ("quality.csv", lambda lines: [*lines, b"\xff"], "line 22"),
+        pytest.param("quality.csv", lambda lines: [*lines, b"\xff"], "line 22", id="not-utf8"),
+        *(
+            pytest.param(name, damage, where, id=f"{kind}-{name}")
+            for damage, where, kind in _T_ORDER_DAMAGE
+            for name in ("success.csv", "quality.csv")
+        ),
     ],
-    ids=["oversized-field", "not-utf8"],
 )
 def test_unreadable_curve_csv_is_usage_error_naming_the_file(name, damage, where, tmp_path, capsys):
     out = tmp_path / "o"

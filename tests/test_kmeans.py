@@ -671,13 +671,16 @@ def test_labels_key_survives_save_and_load_and_names_centroids_and_input(kernel,
 def test_saved_labels_equal_what_load_model_derives(kernel, tmp_path, monkeypatch):
     m, model = _labels_case(kernel)
     km.save_model(model, tmp_path / "model.txt")
-    km.save_labels(model, m, tmp_path / "labels.bin", "key-1")
-    (saved,) = read_records(tmp_path / "labels.bin", km.labels_key(model.centroids, "key-1"), 1)
     derived = km.load_model(tmp_path / "model.txt", m)
+    # Saving writes the fit's own labels: it builds no rows and assigns none.
+    monkeypatch.setattr(km, "_kernel_rows", None)
+    monkeypatch.setattr(km, "_assign_all", None)
+    km.save_labels(model, tmp_path / "labels.bin", "key-1")
+    (saved,) = read_records(tmp_path / "labels.bin", km.labels_key(model.centroids, "key-1"), 1)
     assert saved.dtype == np.int64
+    assert np.array_equal(saved, model.assignments)
     assert np.array_equal(saved, derived.assignments)
     # Under the key it was saved with, the file is taken and no row is reassigned.
-    monkeypatch.setattr(km, "_assign_all", None)
     loaded = km.load_model(tmp_path / "model.txt", m, labels=(tmp_path / "labels.bin", "key-1"))
     assert np.array_equal(loaded.assignments, saved)
     assert not loaded.assignments.flags.writeable
@@ -687,14 +690,16 @@ def test_saved_labels_equal_what_load_model_derives(kernel, tmp_path, monkeypatc
 def test_saved_labels_skip_the_fits_last_repair(tmp_path, mk_matrix):
     # With four equal rows and k = 4, the repair gives one of them a cluster of
     # its own on the same spot as another; nearest-centroid ties go to the
-    # lower index, so a reassignment takes it back.
+    # lower index, so the fit's labels, the saved ones and the loaded ones all
+    # leave that cluster empty.
     m = mk_matrix([[1.0], [1.0], [1.0], [1.0], [9.0], [9.5]])
     model = km.fit(m, km.KMeansConfig(n_clusters=4, seed=0))
+    assert len(set(model.assignments.tolist())) < 4
     km.save_model(model, tmp_path / "model.txt")
-    km.save_labels(model, m, tmp_path / "labels.bin", "key-1")
+    km.save_labels(model, tmp_path / "labels.bin", "key-1")
     (saved,) = read_records(tmp_path / "labels.bin", km.labels_key(model.centroids, "key-1"), 1)
+    assert np.array_equal(saved, model.assignments)
     assert np.array_equal(saved, km.load_model(tmp_path / "model.txt", m).assignments)
-    assert not np.array_equal(saved, model.assignments)
 
 
 def test_labels_under_another_key_or_missing_are_reassigned_silently(tmp_path):
