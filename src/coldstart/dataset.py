@@ -5,25 +5,29 @@ event logs and Jester-style delimiter-separated rating grids with a 99.0
 "not rated" sentinel. Both are normalized onto a common [1, 5] scale so the
 clustering and quality code paths are shared.
 
-Both parsers read the non-blank lines in blocks, one ``np.loadtxt`` call per
-block, into numeric columns and check them with array operations, so no
-Python object is made per rating: ``parse_movielens`` returns
-``RatingEvents`` columns, which ``build_matrix`` sorts and deduplicates. Only
-when a call fails does a line-by-line scan of that block run, to name the
-first bad line. ``export_canonical_csv`` writes a matrix back out as text
-gathered from per-field tables into byte grids, with no Python code per row.
-``write_matrix`` stores a parsed matrix under a caller's key and
-``read_matrix`` gives it back only under that key, so that a later process
-can skip the parse. Both go through ``write_records`` and ``read_records``,
+Both parsers read the input text in blocks of about ``_PARSE_BLOCK`` bytes,
+each cut after its last newline, and pass each block to one ``np.loadtxt``
+call, which skips empty lines. The numeric columns are checked with array
+operations, so no Python code runs per line or rating: ``parse_movielens``
+returns ``RatingEvents`` columns, which ``build_matrix`` sorts and
+deduplicates. Only when a call fails (a line holding only whitespace fails
+it too), or a row fails a check, does a line-by-line scan of that block run,
+to name the first bad line. ``export_canonical_csv`` writes a matrix back
+out as text gathered from per-field tables into byte grids, with no Python
+code per row. ``write_matrix`` stores a parsed matrix under a caller's key
+and ``read_matrix`` gives it back only under that key, so that a later
+process can skip the parse. Both go through ``write_records`` and ``read_records``,
 a keyed stream of ``.npy`` records that any other handoff file can share.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -172,45 +176,84 @@ class RatingMatrix:
             raise ValueError("timestamps and values length mismatch")
         if len(self.user_ids) != self.n_users or len(self.item_ids) != self.n_items:
             raise ValueError("id map length mismatch")
-        # Strict increase within every row (also rules out duplicate items).
+        # Strict increase within every row (also rules out duplicate items):
+        # each step must rise unless a row starts at the later of its two entries.
         if len(self.indices) > 1:
-            nondecreasing_breaks = np.flatnonzero(np.diff(self.indices) <= 0) + 1
-            row_starts = self.indptr[1:-1]
-            if not np.all(np.isin(nondecreasing_breaks, row_starts)):
+            ok = np.diff(self.indices) > 0
+            starts = self.indptr[1:-1]
+            ok[starts[(0 < starts) & (starts < len(self.indices))] - 1] = True
+            if not ok.all():
                 raise ValueError("item indices must be strictly increasing within each row")
         if len(self.values) and not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite rating value")
 
 
-def _iter_lines(source: str | Path | IO) -> Iterator[str]:
+# Bytes of input read per block (characters, from a text stream), before the
+# block is cut back to its last newline and handed to one np.loadtxt call.
+# The size bounds every buffer the parse makes and frees at any input size.
+# One whole-input call freed a 10 MB grid on jester-fit, which raised glibc's
+# dynamic mmap threshold, and the later k-means fit then peaked about 20 MB
+# higher. At 128 KiB the largest buffer is the 4-bytes-per-character copy of
+# the block that io.StringIO makes for np.loadtxt, 512 KB; a block holds
+# about 230 jester-fit rows, a 190 KB grid. The parse took about as long at
+# 32, 64 and 256 KiB.
+_PARSE_BLOCK = 1 << 17
+
+
+def _read_text(source: str | Path | IO) -> Iterator[str]:
+    """The text of ``source`` in pieces of at most ``_PARSE_BLOCK`` characters.
+
+    A path is read as UTF-8 with universal newlines. A bytes stream goes
+    through an incremental UTF-8 decoder, so a piece may end inside a
+    multi-byte character.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+            yield from iter(partial(fh.read, _PARSE_BLOCK), "")
         return
-    for line in source:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        yield line
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while piece := source.read(_PARSE_BLOCK):
+        yield piece if isinstance(piece, str) else decoder.decode(piece)
+    decoder.decode(b"", final=True)  # a truncated character at the end raises
 
 
-# Lines per np.loadtxt call. This keeps every array the parse makes and
-# frees to about 1 MB at any input size. One whole-input call freed a 10 MB
-# grid on jester-fit, which raised glibc's dynamic mmap threshold, and the
-# later k-means fit then peaked about 20 MB higher.
-_PARSE_BLOCK = 1024
+def _text_blocks(source: str | Path | IO) -> Iterator[tuple[str, int]]:
+    """Blocks of whole lines of ``source``, each with its first line's 1-based number.
+
+    Each block ends after the last newline of its pieces; only the last may
+    end without one. Blocks that hold nothing but whitespace are skipped.
+    """
+    first, head = 1, []
+    for piece in _read_text(source):
+        cut = piece.rfind("\n") + 1
+        if not cut:  # a line longer than a piece
+            head.append(piece)
+            continue
+        text = "".join([*head, piece[:cut]])
+        head = [piece[cut:]]
+        if not text.isspace():
+            yield text, first
+        first += text.count("\n")
+    text = "".join(head)
+    if text and not text.isspace():
+        yield text, first
 
 
-def _line_blocks(source: str | Path | IO) -> Iterator[tuple[list[str], np.ndarray]]:
-    """The stripped non-blank lines of ``source`` and their 1-based line numbers, block by block."""
-    raw = _iter_lines(source)
-    first = 1
-    while lines := [line.strip() for line in islice(raw, _PARSE_BLOCK)]:
-        line_nos = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + first
-        first += len(lines)
-        if len(line_nos) < len(lines):
-            lines = [s for s in lines if s]
-        if lines:
-            yield lines, line_nos
+def _nonblank_lines(text: str, first: int) -> tuple[list[str], np.ndarray]:
+    """The stripped non-blank lines of a block and their 1-based line numbers.
+
+    This is the one place a parse runs Python per line: only for a block
+    that np.loadtxt rejects, or to name the line of a row that fails a check.
+    """
+    lines = [line.strip() for line in text.split("\n")]
+    line_nos = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + first
+    return [s for s in lines if s], line_nos
+
+
+def _first_nonblank_line(text: str, first: int) -> tuple[str, int]:
+    """The first non-blank line of a block, stripped, and its 1-based line number."""
+    rest = text.lstrip()
+    return rest.partition("\n")[0].strip(), first + text.count("\n", 0, len(text) - len(rest))
 
 
 # np.loadtxt splits on one character; a longer delimiter is mapped onto this one.
@@ -218,39 +261,45 @@ _UNIT_SEPARATOR = "\x1f"
 
 
 def _load_rows(
-    lines: list[str],
-    line_nos: np.ndarray,
+    text: str,
+    first: int,
     delimiter: str,
     dtype: np.dtype,
     message: Callable[[str], str],
 ) -> tuple[np.ndarray, ParseError | None]:
-    """Parse ``lines`` into a 1-D array of ``dtype`` rows with one ``np.loadtxt`` call.
+    """Parse the non-blank lines of a block into a 1-D array of ``dtype`` rows.
 
-    Returns the rows and None when every line parses. When the call fails,
-    the lines are tried one at a time to find the first one np.loadtxt
-    rejects; the rows before it come back with that line's ParseError, worded
-    by ``message``, which the caller raises unless its own checks fail on an
-    earlier row.
+    One ``np.loadtxt`` call reads the whole block, skipping empty lines.
+    Returns the rows and None when every line parses. When the call fails
+    (a line that holds only whitespace fails it too), the block's stripped
+    non-blank lines are tried together and then one at a time, to find the
+    first one np.loadtxt rejects; the rows before it come back with that
+    line's ParseError, worded by ``message``, which the caller raises unless
+    its own checks fail on an earlier row.
     """
 
-    def load(part: list[str]) -> np.ndarray:
-        if not part:
-            return np.empty(0, dtype=dtype)
-        if len(delimiter) == 1:
-            return np.loadtxt(part, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
-        # One replace over the whole block; stripped lines hold no "\n".
-        mapped = "\n".join(part).replace(delimiter, _UNIT_SEPARATOR).split("\n")
-        return np.loadtxt(mapped, dtype=dtype, delimiter=_UNIT_SEPARATOR, comments=None, ndmin=1)
+    sep = delimiter if len(delimiter) == 1 else _UNIT_SEPARATOR
+
+    def load(part: str) -> np.ndarray:
+        if sep != delimiter:  # one replace per call; "::" cannot span a newline
+            part = part.replace(delimiter, sep)
+        return np.loadtxt(io.StringIO(part), dtype=dtype, delimiter=sep, comments=None, ndmin=1)
 
     try:
-        return load(lines), None
+        return load(text), None
     except ValueError as e:
         failure = e
+    lines, line_nos = _nonblank_lines(text, first)
+    try:
+        return load("\n".join(lines)), None
+    except ValueError:
+        pass
     for r, line in enumerate(lines):
         try:
-            load([line])
+            load(line)
         except ValueError:
-            return load(lines[:r]), ParseError(message(line), int(line_nos[r]))
+            rows = load("\n".join(lines[:r])) if r else np.empty(0, dtype=dtype)
+            return rows, ParseError(message(line), int(line_nos[r]))
     raise failure
 
 
@@ -285,11 +334,12 @@ def parse_movielens(source: str | Path | IO) -> RatingEvents:
     ignored; anything else malformed raises ParseError with its line number.
     """
     blocks = [np.empty(0, dtype=_EVENT_ROW)]
-    for lines, line_nos in _line_blocks(source):
-        rows, error = _load_rows(lines, line_nos, "::", _EVENT_ROW, _movielens_line_error)
+    for text, first in _text_blocks(source):
+        rows, error = _load_rows(text, first, "::", _EVENT_ROW, _movielens_line_error)
         negative = (rows["user_ids"] < 0) | (rows["item_ids"] < 0)
         r = min(_first(negative), _first(IDENTITY_1_TO_5.out_of_range(rows["values"])))
         if r < len(rows):
+            lines, line_nos = _nonblank_lines(text, first)
             if negative[r]:
                 raise ParseError(f"negative id in {lines[r]!r}", int(line_nos[r]))
             try:
@@ -329,18 +379,19 @@ def parse_jester(source: str | Path | IO) -> RatingMatrix:
             return f"expected {width} fields, got {n_fields}"
         return "unparseable numeric field"
 
-    for lines, line_nos in _line_blocks(source):
+    for text, first in _text_blocks(source):
         if len(counts) == 1:  # the first non-blank line fixes the layout
-            delimiter = _detect_delimiter(lines[0])
-            width = len(lines[0].split(delimiter))
+            line, line_no = _first_nonblank_line(text, first)
+            delimiter = _detect_delimiter(line)
+            width = len(line.split(delimiter))
             if width not in (101, 102):
                 raise ParseError(
                     f"expected 101 or 102 fields (count [+ user id] + 100 ratings), got {width}",
-                    int(line_nos[0]),
+                    line_no,
                 )
         # One subarray field, so every block must have the first line's width.
         row = np.dtype([("fields", np.float64, (width,))])
-        grid, error = _load_rows(lines, line_nos, delimiter, row, line_error)
+        grid, error = _load_rows(text, first, delimiter, row, line_error)
         grid = grid["fields"]
         head, cells = grid[:, : width - 100], grid[:, width - 100 :]
         # The user id and declared count must convert to int64 (NaN and inf do not).
@@ -352,6 +403,8 @@ def parse_jester(source: str | Path | IO) -> RatingMatrix:
 
         # Rows are checked in file order, so the first failing row decides.
         r = min(_first(bad_head), _first(bad_cell))
+        if r < len(grid) or mismatch.any():
+            line_nos = _nonblank_lines(text, first)[1]
         for w in np.flatnonzero(mismatch[:r]):
             warnings.warn(
                 f"line {line_nos[w]}: declared {int(declared[w])} ratings but found {observed[w]}",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -413,8 +414,9 @@ def _read_points(source: str | Path, point_type) -> tuple:
 
     Bytes that are not UTF-8, a field longer than ``csv.field_size_limit()``,
     a wrong header, a row without exactly one value of its column's type per
-    field, or a ``t`` below 1 or not above the previous row's raise
-    ``ParseError`` naming the file and the 1-based line.
+    field, a float that is NaN or infinite, or a ``t`` below 1 or not above
+    the previous row's raise ``ParseError`` naming the file and the 1-based
+    line. Neither curve writer emits a non-finite value.
     """
     kinds, fields = get_type_hints(point_type), point_type._fields
     data = Path(source).read_bytes()
@@ -436,6 +438,9 @@ def _read_points(source: str | Path, point_type) -> tuple:
             p = point_type(*(kinds[f](v) for f, v in zip(fields, row, strict=True)))
         except ValueError as e:
             raise ParseError(f"{source}: row {','.join(row)} does not fit the header: {e}", line) from None
+        for f in fields:
+            if kinds[f] is float and not math.isfinite(getattr(p, f)):
+                raise ParseError(f"{source}: {f} = {getattr(p, f)} is not finite", line)
         previous = points[-1].t if points else 0
         if p.t <= previous:
             order = "below 1" if p.t < 1 else f"not above the previous row's t = {previous}"

@@ -27,7 +27,7 @@ import csv
 import warnings
 from collections import defaultdict
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,9 +40,18 @@ from coldstart.dataset import (
     PrefixOrdering,
     RatingMatrix,
     _SENTINEL_TOL,
-    _iter_lines,
 )
 from coldstart.errors import ParseError, RatingRangeError
+
+
+def _iter_lines(source: str | Path | IO) -> Iterator[str]:
+    """The lines of a path (UTF-8, universal newlines), a text stream or a bytes stream."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from fh
+        return
+    for line in source:
+        yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
 def _normalize(raw: float, scheme: NormalizationScheme) -> float:

@@ -669,17 +669,6 @@ def test_threshold_names_where_the_crossing_lies(offset, position, note, tmp_pat
     assert summary["intersection_t_cross"] == pytest.approx(t_cross, rel=1e-9)
 
 
-def test_threshold_reports_a_nan_crossing_as_extrapolated(tmp_path, capsys):
-    out = tmp_path / "o"
-    _write_curves(out, float("nan"))  # a NaN reference level
-    rc = main(["threshold", "--dataset", "jester", "--out", str(out)])
-    assert rc == EXIT_OK
-    assert "cross at t=nan (extrapolated, beyond t=20)\n" in capsys.readouterr().out
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["intersection_position"] == "beyond"
-    assert summary["intersection_extrapolated"] is True
-
-
 def test_threshold_without_a_crossing_reports_none_and_the_falling_fit(tmp_path, capsys):
     out = tmp_path / "o"
     _write_curves(out, -1.0, slope=-0.5)
@@ -771,6 +760,18 @@ _T_ORDER_DAMAGE = [
 ]
 
 
+
+def _non_finite(field, value):
+    """Damage that sets one float field of the t = 2 row, on line 3, to ``value``."""
+
+    def damage(lines):
+        row = lines[2].split(b",")
+        row[field] = value.encode()
+        return [*lines[:2], b",".join(row), *lines[3:]]
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "name, damage, where",
     [
@@ -785,6 +786,14 @@ _T_ORDER_DAMAGE = [
             pytest.param(name, damage, where, id=f"{kind}-{name}")
             for damage, where, kind in _T_ORDER_DAMAGE
             for name in ("success.csv", "quality.csv")
+        ),
+        *(
+            pytest.param(name, _non_finite(field, value), "line 3", id=f"{value}-{name}")
+            for name, field, value in [
+                ("success.csv", 1, "nan"), ("success.csv", 1, "inf"),
+                # A NaN reference level: the library places such a crossing beyond the range.
+                ("quality.csv", 1, "inf"), ("quality.csv", 2, "nan"), ("quality.csv", 2, "-inf"),
+            ]
         ),
     ],
 )
@@ -1099,13 +1108,17 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 
 def _loaded_scipy_modules(tmp_path, *argvs):
-    """Run each argv through ``cli.main`` in one child process; its exit codes and scipy modules."""
+    """Run each argv through ``cli.main`` in one child process.
+
+    Returns its exit codes, its scipy modules, and whether it loaded
+    ``numpy.ma`` (which ``np.isin`` imports on its first call).
+    """
     script = (
         "import json, sys\n"
         "from coldstart import cli\n"
         f"codes = [cli.main(a) for a in {[list(a) for a in argvs]!r}]\n"
         "mods = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "print(json.dumps([codes, mods]))\n"
+        "print(json.dumps([codes, mods, 'numpy.ma' in sys.modules]))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script],
@@ -1119,7 +1132,7 @@ def test_ingest_and_threshold_load_no_scipy(jester_file, tmp_path):
     out = tmp_path / "o"
     _write_curves(out, -1.0)
     flags = ["--dataset", "jester", "--out", str(out)]
-    codes, mods = _loaded_scipy_modules(
+    codes, mods, _ = _loaded_scipy_modules(
         tmp_path, ["ingest", "--input", str(jester_file), *flags], ["threshold", *flags]
     )
     assert codes == [EXIT_OK, EXIT_OK]
@@ -1133,10 +1146,10 @@ def test_dense_kernel_pipeline_and_curves_load_no_scipy(jester_file, tmp_path):
         "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
         "--min-ratings", "50", "--sample", "20", "--t-max", "80", "--out", str(tmp_path / "o"),
     ]
-    codes, mods = _loaded_scipy_modules(tmp_path, ["pipeline", *flags])
+    codes, mods, _ = _loaded_scipy_modules(tmp_path, ["pipeline", *flags])
     assert codes == [EXIT_OK]
     assert mods == []
-    codes, mods = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    codes, mods, _ = _loaded_scipy_modules(tmp_path, ["curves", *flags])
     assert codes == [EXIT_OK]
     assert mods == []
 
@@ -1144,7 +1157,7 @@ def test_dense_kernel_pipeline_and_curves_load_no_scipy(jester_file, tmp_path):
 def test_csr_kernel_pipeline_loads_scipy_sparse_only(tmp_path):
     data = tmp_path / "ratings.dat"
     _write_movielens(data, n_items=300)  # about 3 % filled: the CSR kernel
-    codes, mods = _loaded_scipy_modules(tmp_path, [
+    codes, mods, _ = _loaded_scipy_modules(tmp_path, [
         "pipeline", "--dataset", "movielens", "--input", str(data), "--k-coeff", "10",
         "--coeffs", "10,20", "--min-ratings", "6", "--sample", "10", "--t-max", "12",
         "--out", str(tmp_path / "o"),
@@ -1163,14 +1176,26 @@ def test_csr_kernel_curves_load_no_scipy_while_fits_labels_match(tmp_path):
     assert main(["ingest", *flags]) == EXIT_OK
     assert main(["fit", *flags]) == EXIT_OK
     assert json.loads((out / "summary.json").read_text())["kmeans_kernel"] == "csr"
-    codes, mods = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    codes, mods, _ = _loaded_scipy_modules(tmp_path, ["curves", *flags])
     assert codes == [EXIT_OK]
     assert mods == []
     # Without the labels, `curves` reassigns every user with the CSR kernel.
     (out / cli.LABELS_FILE).unlink()
-    codes, mods = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    codes, mods, _ = _loaded_scipy_modules(tmp_path, ["curves", *flags])
     assert codes == [EXIT_OK]
     assert "scipy.sparse" in mods
+
+
+@pytest.mark.parametrize("dataset", ["jester", "movielens"])
+def test_ingest_and_curves_load_no_numpy_ma(dataset, jester_file, ml_file, tmp_path):
+    # A fresh `ingest` parses and checks the matrix; `curves` reads and checks matrix.bin.
+    data, flags = (jester_file, JESTER_FLAGS) if dataset == "jester" else (ml_file, ML_FLAGS)
+    flags = ["--input", str(data), "--out", str(tmp_path / "o"), *flags]
+    codes, _, ma = _loaded_scipy_modules(tmp_path, ["ingest", *flags])
+    assert codes == [EXIT_OK] and not ma
+    assert main(["fit", *flags]) == EXIT_OK
+    codes, _, ma = _loaded_scipy_modules(tmp_path, ["curves", *flags])
+    assert codes == [EXIT_OK] and not ma
 
 
 def test_module_invocation_matches_script():

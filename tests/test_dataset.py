@@ -322,9 +322,12 @@ def test_export_canonical_csv_without_timestamps(mk_matrix):
 # ---------------------------------------------------------------- parsers vs line-by-line oracles
 
 def _outcome(parse, text, block=None, source=None):
-    """(result or exception, warnings) of parsing ``text``, ``block`` lines per np.loadtxt call.
+    """(result or exception, warnings) of parsing ``text``, reading ``block`` bytes at a time.
 
-    ``source`` is what ``parse`` reads ``text`` from; a text stream if None.
+    ``block`` replaces ``_PARSE_BLOCK``, the size of each read (in characters
+    from a text stream) before the reader cuts back to the last newline; the
+    default if None. ``source`` is what ``parse`` reads ``text`` from; a text
+    stream if None.
     """
     with warnings.catch_warnings(record=True) as caught, mock.patch.object(
         ds, "_PARSE_BLOCK", block or ds._PARSE_BLOCK
@@ -379,7 +382,9 @@ def _assert_same_movielens(text, block, source=None):
 
 
 def _source(kind, text, tmp_path):
-    """``text`` as a parser's other inputs: a file path, or a stream of bytes lines."""
+    """``text`` as a parser's input: a text stream, a bytes stream or a file path."""
+    if kind == "text":
+        return io.StringIO(text)
     if kind == "bytes":
         return io.BytesIO(text.encode())
     path = tmp_path / "input.txt"
@@ -428,7 +433,7 @@ def jester_grids(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-_BLOCKS = st.sampled_from([1, 2, 3, None])  # lines per np.loadtxt call; None: the default
+_BLOCKS = st.sampled_from([1, 2, 3, None])  # bytes per read; None: the default
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,6 +458,7 @@ _JESTER_CASES = [
     _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW[:99]),
     _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW + [99]),
     _grid_line(3, _ROW[:98]),
+    "\n \r\n\t\n" + _grid_line(3, _ROW[:98]) + "\n",
     _grid_line(4, _ROW) + "\n" + _grid_line(3, _ROW[:3] + ["nan"] + _ROW[4:]),
     _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["inf"] + _ROW[4:]),
     _grid_line(3, _ROW) + "\n" + _grid_line(4, _ROW[:3] + ["-inf"] + _ROW[4:]),
@@ -560,6 +566,111 @@ def test_parse_movielens_names_line_of_number_numpy_rejects(field):
     with pytest.raises(ParseError, match="unparseable field") as exc:
         ds.parse_movielens(io.StringIO(f"1::2::3::4\n\n{field}::2::3::4\n"))
     assert exc.value.line_no == 3
+
+
+# Each text puts a block boundary, at some block size, inside "::", inside
+# "\r\n", inside a multi-byte character (two or three UTF-8 bytes: "\xa0",
+# "\u3000", "é") and just before a last line without a newline. Every block
+# size from 1 to past the end is tried, so every such boundary is.
+_BOUNDARY_MOVIELENS = [
+    "1::2::3::4\r\n5::6::4.5::7\r\n\r\n8::9::1::10",
+    "1::2::3::4\n\u3000\n5::6::2::7\n",
+    "\xa01::2::3::4\xa0\n5::6::2::7",
+    "1::2::3::4\n5::6::\u00e9::7\n",
+    "1::2::3::4\r\n5::6::9::7\r\n",
+]
+_BOUNDARY_JESTER = [
+    _grid_line(3, _ROW) + "\r\n\r\n" + _grid_line(3, _ROW),
+    _grid_line(3, _ROW) + "\n\u3000\n" + _grid_line(2, _ROW) + "\n",
+    _grid_line(3, _ROW) + "\n" + _grid_line(3, _ROW[:99] + ["\u00e9"]),
+]
+
+
+@pytest.mark.parametrize("kind", ["text", "bytes", "path"])
+@pytest.mark.parametrize("text", _BOUNDARY_MOVIELENS, ids=range(len(_BOUNDARY_MOVIELENS)))
+def test_parse_movielens_at_every_block_boundary_matches_oracle(text, kind, tmp_path):
+    for block in range(1, len(text.encode()) + 2):
+        _assert_same_movielens(text, block, _source(kind, text, tmp_path))
+
+
+@pytest.mark.parametrize("kind", ["text", "bytes", "path"])
+@pytest.mark.parametrize("text", _BOUNDARY_JESTER, ids=range(len(_BOUNDARY_JESTER)))
+def test_parse_jester_at_every_block_boundary_matches_oracle(text, kind, tmp_path):
+    for block in range(1, len(text.encode()) + 2):
+        _assert_same_jester(text, block, _source(kind, text, tmp_path))
+
+
+_CLEAN_MOVIELENS = [ML_SAMPLE, ML_SAMPLE.replace("\n", "\r\n"), ML_SAMPLE.rstrip("\n")]
+_CLEAN_JESTER = [
+    _grid_line(3, _ROW) + "\n\n" + _grid_line(3, _ROW),
+    "\n" + "\r\n".join("12," + _grid_line(3, _ROW) for _ in range(40)) + "\r\n",
+    "\n".join(_grid_line(3, _ROW, "\t") for _ in range(40)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, None])
+def test_clean_texts_parse_without_per_line_code(block):
+    # Only _nonblank_lines runs Python per line; a clean block never needs it.
+    with mock.patch.object(ds, "_nonblank_lines", side_effect=AssertionError):
+        for text in _CLEAN_MOVIELENS:
+            _assert_same_movielens(text, block)
+        for text in _CLEAN_JESTER:
+            _assert_same_jester(text, block)
+
+
+# ---------------------------------------------------------------- matrix structure
+
+
+def _in_row_order_by_isin(indices, indptr):
+    """The earlier form of validate's within-row check: every fall or repeat starts a row."""
+    breaks = np.flatnonzero(np.diff(indices) <= 0) + 1
+    return bool(np.all(np.isin(breaks, indptr[1:-1])))
+
+
+@st.composite
+def csr_layouts(draw):
+    """Rows of item indices, each sorted and distinct or drawn as it comes, maybe framed by empty rows."""
+    n_items = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(st.lists(st.integers(0, n_items - 1), max_size=5))
+        rows.append(sorted(set(row)) if draw(st.booleans()) else row)
+    return n_items, [*draw(st.sampled_from([[], [[]]])), *rows, *draw(st.sampled_from([[], [[]]]))]
+
+
+_LAYOUT_CASES = [
+    (3, [[], [0, 2], []]),  # empty first and last rows
+    (4, [[2, 3], [0, 1]]),  # a drop across a row boundary: accepted
+    (4, [[3], [], [3]]),  # a repeat across an empty row: accepted
+    (3, [[0, 1, 1]]),  # a repeat inside a row: rejected
+    (3, [[], [2, 0], []]),  # a drop inside a row: rejected
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(_LAYOUT_CASES), csr_layouts()))
+def test_validate_row_order_matches_isin_form(layout):
+    n_items, rows = layout
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    indices = np.asarray([i for r in rows for i in r], dtype=np.int32)
+    m = ds.RatingMatrix(
+        n_users=len(rows),
+        n_items=n_items,
+        indptr=indptr,
+        indices=indices,
+        values=np.ones(len(indices)),
+        user_ids=np.arange(len(rows), dtype=np.int64),
+        item_ids=np.arange(n_items, dtype=np.int64),
+        scheme=ds.IDENTITY_1_TO_5,
+    )
+    try:
+        m.validate()
+        accepted = True
+    except ValueError as e:
+        assert str(e) == "item indices must be strictly increasing within each row"
+        accepted = False
+    assert accepted == _in_row_order_by_isin(indices, indptr)
+    assert accepted == all(r == sorted(set(r)) for r in rows)
 
 
 # ---------------------------------------------------------------- matrix handoff file
