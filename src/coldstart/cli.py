@@ -323,14 +323,14 @@ def _fit(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     }
 
 
-def _sweep_users(cfg: RunConfig, m: ds.RatingMatrix) -> ds.RatingMatrix:
-    """Users whose rows can spare the holdout and meet the run's floor."""
-    return ds.filter_min_ratings(m, max(cfg.min_ratings, cfg.eval_holdout + 1))
+def _sweep_floor(cfg: RunConfig) -> int:
+    """The fewest ratings a sweep user may have: the run's floor, and one more than the holdout."""
+    return max(cfg.min_ratings, cfg.eval_holdout + 1)
 
 
 def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
     result = rv.sweep_coefficient(
-        _sweep_users(cfg, m),
+        ds.filter_min_ratings(m, _sweep_floor(cfg)),
         cfg.coeffs,
         cfg.kmeans_template(),
         cfg.eval_config(),
@@ -442,8 +442,10 @@ def _run(cfg: RunConfig, command: str) -> int:
     m, input_summary = None, {}
     if any(s != "threshold" for s in stages):
         m, input_summary = _load_matrix(cfg)
-    if "sweep" in stages:
-        _sweep_users(cfg, m)
+    if "fit" in stages and m.n_users == 0:
+        raise UsageError(f"input {cfg.input} holds no ratings")
+    if "sweep" in stages and not (m.row_lengths() >= _sweep_floor(cfg)).any():
+        raise UsageError(f"no user has >= {_sweep_floor(cfg)} ratings")
     if "curves" in stages:
         _curve_cohort(cfg, m)
         if cfg.resolved_ordering() == ds.BY_TIMESTAMP and m.timestamps is None:

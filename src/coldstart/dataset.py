@@ -29,14 +29,11 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptyResultError, ParseError, RatingRangeError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 JESTER_SENTINEL = 99.0
 _SENTINEL_TOL = 1e-9
@@ -142,7 +139,6 @@ class RatingMatrix:
     values: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
-    scheme: NormalizationScheme
     timestamps: np.ndarray | None = None
 
     @property
@@ -151,14 +147,6 @@ class RatingMatrix:
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def to_csr(self) -> sparse.csr_matrix:
-        # Imported here so that commands that build no CSR matrix never load scipy.
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (self.values, self.indices, self.indptr), shape=(self.n_users, self.n_items)
-        )
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
@@ -348,7 +336,6 @@ def parse_movielens(source: str | Path | IO) -> RatingEvents:
                 raise RatingRangeError(str(e), int(line_nos[r])) from None
         if error is not None:
             raise error
-        rows["values"] = IDENTITY_1_TO_5.normalize(rows["values"])
         blocks.append(rows)
     return RatingEvents(
         **{name: np.concatenate([b[name] for b in blocks]) for name in _EVENT_ROW.names}
@@ -440,7 +427,6 @@ def parse_jester(source: str | Path | IO) -> RatingMatrix:
             np.concatenate(user_ids) if width == 102 else np.arange(len(counts), dtype=np.int64)
         ),
         item_ids=np.arange(100, dtype=np.int64),
-        scheme=JESTER_AFFINE,
     )
     m.validate()
     return m
@@ -450,21 +436,9 @@ def build_matrix(events: RatingEvents) -> RatingMatrix:
     """Assemble the ``RatingEvents`` that ``parse_movielens`` returns into a RatingMatrix.
 
     Users and items are numbered in ascending id order. A (user, item) pair
-    rated more than once keeps its last rating in arrival order. The values
-    are on the [1, 5] scale already, so the matrix carries ``IDENTITY_1_TO_5``.
+    rated more than once keeps its last rating in arrival order. No events
+    give a 0 x 0 matrix.
     """
-    if not events.n_ratings:
-        return RatingMatrix(
-            n_users=0,
-            n_items=0,
-            indptr=np.zeros(1, dtype=np.int64),
-            indices=np.zeros(0, dtype=np.int32),
-            values=np.zeros(0, dtype=np.float64),
-            user_ids=np.zeros(0, dtype=np.int64),
-            item_ids=np.zeros(0, dtype=np.int64),
-            scheme=IDENTITY_1_TO_5,
-        )
-
     users, items, vals, tstamps = events.user_ids, events.item_ids, events.values, events.timestamps
     user_ids, u_idx = np.unique(users, return_inverse=True)
     item_ids, i_idx = np.unique(items, return_inverse=True)
@@ -492,7 +466,6 @@ def build_matrix(events: RatingEvents) -> RatingMatrix:
         values=vals,
         user_ids=user_ids,
         item_ids=item_ids,
-        scheme=IDENTITY_1_TO_5,
         timestamps=tstamps,
     )
     m.validate()
@@ -501,8 +474,7 @@ def build_matrix(events: RatingEvents) -> RatingMatrix:
 
 # Tag of the handoff file's layout and of the parse it stores: callers hash
 # it into the key, so bump it whenever either changes.
-MATRIX_FORMAT = "coldstart-matrix v1"
-_SCHEMES = {s.kind: s for s in (IDENTITY_1_TO_5, JESTER_AFFINE)}
+MATRIX_FORMAT = "coldstart-matrix v2"
 _NO_TIMESTAMPS = "none"
 
 
@@ -555,13 +527,10 @@ def write_matrix(m: RatingMatrix, path: str | Path, key: str) -> None:
     """Write ``m`` under ``key`` with ``write_records``, replacing ``path`` atomically.
 
     The records after the key are ``indptr``, ``indices``, ``values``,
-    ``user_ids``, ``item_ids``, the timestamps (or the string "none") and
-    the scheme's kind.
+    ``user_ids``, ``item_ids`` and the timestamps (or the string "none").
     """
     timestamps = np.array(_NO_TIMESTAMPS) if m.timestamps is None else m.timestamps
-    write_records(path, key, (
-        m.indptr, m.indices, m.values, m.user_ids, m.item_ids, timestamps, np.array(m.scheme.kind),
-    ))
+    write_records(path, key, (m.indptr, m.indices, m.values, m.user_ids, m.item_ids, timestamps))
 
 
 def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
@@ -572,17 +541,14 @@ def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
     the caller parses the input instead.
     """
     try:
-        records = read_records(path, key, 7)
+        records = read_records(path, key, 6)
         if records is None:
             return None
-        indptr, indices, values, user_ids, item_ids, timestamps, kind = records
+        indptr, indices, values, user_ids, item_ids, timestamps = records
         if timestamps.dtype.kind == "U":
             if _text_record(timestamps) != _NO_TIMESTAMPS:
                 raise ValueError(f"timestamp record holds {timestamps!r}")
             timestamps = None
-        scheme = _SCHEMES.get(_text_record(kind))
-        if scheme is None:
-            raise ValueError(f"unknown scheme {str(kind)!r}")
         m = RatingMatrix(
             n_users=len(indptr) - 1,
             n_items=len(item_ids),
@@ -591,7 +557,6 @@ def read_matrix(path: str | Path, key: str) -> RatingMatrix | None:
             values=values,
             user_ids=user_ids,
             item_ids=item_ids,
-            scheme=scheme,
             timestamps=timestamps,
         )
         m.validate()
@@ -626,6 +591,25 @@ def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(len(seg)) - out_ptr[seg] + starts[seg], seg
 
 
+def _subset(m: RatingMatrix, rows: np.ndarray, lengths: np.ndarray, take: np.ndarray) -> RatingMatrix:
+    """``m``'s ``rows`` holding only the ratings at ``take``, ``lengths`` of them per row; items unchanged.
+
+    ``take`` is a mask over ``m``'s ratings or their positions in row order.
+    """
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return RatingMatrix(
+        n_users=len(rows),
+        n_items=m.n_items,
+        indptr=indptr,
+        indices=m.indices[take],
+        values=m.values[take],
+        user_ids=m.user_ids[rows],
+        item_ids=m.item_ids,
+        timestamps=None if m.timestamps is None else m.timestamps[take],
+    )
+
+
 def filter_min_ratings(m: RatingMatrix, min_count: int) -> RatingMatrix:
     """Keep only users with at least ``min_count`` ratings; item space unchanged."""
     if min_count < 0:
@@ -636,21 +620,7 @@ def filter_min_ratings(m: RatingMatrix, min_count: int) -> RatingMatrix:
         raise EmptyResultError(f"no user has >= {min_count} ratings")
     if len(keep) == m.n_users:
         return m
-
-    take, _ = _gather_rows(m.indptr, keep)
-    indptr = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(lengths[keep], out=indptr[1:])
-    out = RatingMatrix(
-        n_users=len(keep),
-        n_items=m.n_items,
-        indptr=indptr,
-        indices=m.indices[take],
-        values=m.values[take],
-        user_ids=m.user_ids[keep],
-        item_ids=m.item_ids,
-        scheme=m.scheme,
-        timestamps=None if m.timestamps is None else m.timestamps[take],
-    )
+    out = _subset(m, keep, lengths[keep], _gather_rows(m.indptr, keep)[0])
     out.validate()
     return out
 

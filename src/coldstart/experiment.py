@@ -330,26 +330,17 @@ def detect_breakpoint(curve: SuccessCurve, method: str = SEGMENTED_LINEAR) -> Br
         )
 
     if method == SEGMENTED_LINEAR:
-        fits = []
+        totals = []
         for ts in candidates:
             left = t < ts
-            lf = _ols_line(t[left], y[left])
-            rf = _ols_line(t[~left], y[~left])
-            fits.append((lf.sse + rf.sse, ts, lf, rf))
+            totals.append(_ols_line(t[left], y[left]).sse + _ols_line(t[~left], y[~left]).sse)
         # ties go to the smallest t*; "tie" tolerates float dust so that the
         # exactly-recoverable cases (piecewise-linear, flat) stay deterministic
-        min_total = min(f[0] for f in fits)
+        min_total = min(totals)
         tol = 1e-9 * (1.0 + min_total)
-        total, t_star, lf, rf = next(f for f in fits if f[0] <= min_total + tol)
+        t_star = next(ts for ts, total in zip(candidates, totals) if total <= min_total + tol)
     elif method == EXP_TANGENT:
         total, t_star, amp, tau = _fit_exp_tangent(t, y, candidates)
-        left = t < t_star
-        lf = _ols_line(t[left], y[left])
-        # the grafted tangent itself, as a line in t
-        slope = amp / tau * np.exp(-t_star / tau)
-        y_knee = amp * (1.0 - np.exp(-t_star / tau))
-        resid = y[~left] - (y_knee + slope * (t[~left] - t_star))
-        rf = LineFit(float(slope), float(y_knee - slope * t_star), float(resid @ resid))
     else:
         tn = (t - t[0]) / (t[-1] - t[0])
         span = y.max() - y.min()
@@ -361,11 +352,18 @@ def detect_breakpoint(curve: SuccessCurve, method: str = SEGMENTED_LINEAR) -> Br
         allowed = np.isin(t, candidates)
         dist = np.where(allowed, dist, -np.inf)
         t_star = int(t[int(np.argmax(dist))])
-        left = t < t_star
-        lf = _ols_line(t[left], y[left])
+
+    left = t < t_star
+    lf = _ols_line(t[left], y[left])
+    if method == EXP_TANGENT:
+        # the grafted tangent itself, as a line in t
+        slope = amp / tau * np.exp(-t_star / tau)
+        y_knee = amp * (1.0 - np.exp(-t_star / tau))
+        resid = y[~left] - (y_knee + slope * (t[~left] - t_star))
+        rf = LineFit(float(slope), float(y_knee - slope * t_star), float(resid @ resid))
+    else:
         rf = _ols_line(t[~left], y[~left])
         total = lf.sse + rf.sse
-
     return BreakpointReport(t_star, method, lf, rf, total)
 
 

@@ -199,9 +199,10 @@ def _kernel(m: RatingMatrix) -> str:
 def _kernel_rows(m: RatingMatrix):
     """The rows as the product kernel takes them, and the kernel's name.
 
-    The dense array is byte for byte ``m.to_csr().toarray()``, which sums
-    each rating into zeros: adding 0.0 turns a stored -0.0 into 0.0 as that
-    sum does.
+    The CSR kernel takes a ``scipy.sparse.csr_matrix`` over ``m``'s own
+    arrays. The dense array is byte for byte that matrix's ``toarray()``,
+    which sums each rating into zeros: adding 0.0 turns a stored -0.0 into
+    0.0 as that sum does.
     """
     if _kernel(m) == "dense":
         X = np.zeros((m.n_users, m.n_items))
@@ -209,7 +210,10 @@ def _kernel_rows(m: RatingMatrix):
             X[rows][seg, m.indices[ratings]] = m.values[ratings]
         X += 0.0
         return X, "dense"
-    return m.to_csr(), "csr"
+    # Imported here so that commands that build no CSR matrix never load scipy.
+    from scipy import sparse
+
+    return sparse.csr_matrix((m.values, m.indices, m.indptr), shape=(m.n_users, m.n_items)), "csr"
 
 
 def _dense_rows(X, rows) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingMatrix, segment_sums
+from .dataset import RatingMatrix, _subset, segment_sums
 from .kmeans import KMeansConfig, _cell_blocks, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
@@ -158,18 +158,7 @@ def _holdout_split(
 
     keep = np.ones(m.n_ratings, dtype=bool)
     keep[held.ravel()] = False
-    lens_new = lengths - ecfg.holdout_per_user
-    train = RatingMatrix(
-        n_users=m.n_users,
-        n_items=m.n_items,
-        indptr=np.concatenate([[0], np.cumsum(lens_new)]).astype(np.int64),
-        indices=m.indices[keep],
-        values=m.values[keep],
-        user_ids=m.user_ids,
-        item_ids=m.item_ids,
-        scheme=m.scheme,
-        timestamps=m.timestamps[keep] if m.timestamps is not None else None,
-    )
+    train = _subset(m, np.arange(m.n_users), lengths - ecfg.holdout_per_user, keep)
     return train, m.indices[held], m.values[held], pools
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import coldstart
-from coldstart.dataset import IDENTITY_1_TO_5, RatingMatrix
+from coldstart.dataset import RatingMatrix
 
 
 def child_env(drop=(), **extra):
@@ -24,7 +24,7 @@ def child_env(drop=(), **extra):
     return env
 
 
-def matrix_from_dense(dense, timestamps=None, scheme=IDENTITY_1_TO_5):
+def matrix_from_dense(dense, timestamps=None):
     """Build a RatingMatrix from a dense array with NaN marking "not rated".
 
     ``timestamps`` (same shape, ignored where dense is NaN) attaches
@@ -51,7 +51,6 @@ def matrix_from_dense(dense, timestamps=None, scheme=IDENTITY_1_TO_5):
         values=np.asarray(values, dtype=np.float64),
         user_ids=np.arange(n_users, dtype=np.int64),
         item_ids=np.arange(n_items, dtype=np.int64),
-        scheme=scheme,
         timestamps=np.asarray(ts, dtype=np.int64) if timestamps is not None else None,
     )
 

@@ -128,8 +128,7 @@ def build_matrix(events: list[Event]) -> RatingMatrix:
         values=np.asarray(values, dtype=np.float64),
         user_ids=np.asarray(user_ids, dtype=np.int64),
         item_ids=np.asarray(item_ids, dtype=np.int64),
-        scheme=IDENTITY_1_TO_5,
-        timestamps=np.asarray(timestamps, dtype=np.int64) if events else None,
+        timestamps=np.asarray(timestamps, dtype=np.int64),
     )
     m.validate()
     return m
@@ -212,7 +211,6 @@ def parse_jester(source: str | Path | IO) -> RatingMatrix:
         values=np.asarray(values, dtype=np.float64),
         user_ids=np.asarray(user_ids, dtype=np.int64),
         item_ids=np.arange(100, dtype=np.int64),
-        scheme=JESTER_AFFINE,
     )
     m.validate()
     return m

@@ -15,6 +15,7 @@ passes to give the same bytes.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from coldstart.dataset import RatingMatrix, segment_ids, segment_sums
 from coldstart.kmeans import ClusterModel, _sq_dists
@@ -67,3 +68,8 @@ def dense_rows(m: RatingMatrix) -> np.ndarray:
     rows[segment_ids(m.indptr), m.indices] = m.values
     rows += 0.0
     return rows
+
+
+def csr_matrix(m: RatingMatrix) -> sparse.csr_matrix:
+    """The rows as the scipy CSR matrix over ``m``'s own arrays, as the CSR kernel takes them."""
+    return sparse.csr_matrix((m.values, m.indices, m.indptr), shape=(m.n_users, m.n_items))

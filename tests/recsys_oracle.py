@@ -73,7 +73,6 @@ def holdout_split(
         values=m.values[keep],
         user_ids=m.user_ids,
         item_ids=m.item_ids,
-        scheme=m.scheme,
         timestamps=m.timestamps[keep] if m.timestamps is not None else None,
     )
     return train, held_items, held_gains, pools
@@ -124,7 +123,7 @@ def user_metrics(
     ecfg: EvalConfig,
 ) -> tuple[np.ndarray, list[float]]:
     """Each user's NDCG@n, and the AP of each user with a relevant held-out item, in user order."""
-    train_csc = train.to_csr().tocsc()
+    train_csc = kmeans_oracle.csr_matrix(train).tocsc()
     global_cnt = np.diff(train_csc.indptr)
     sums = np.concatenate([[0.0], np.cumsum(train_csc.data)])
     global_sum = sums[train_csc.indptr[1:]] - sums[train_csc.indptr[:-1]]

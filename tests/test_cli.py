@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import dataset_oracle
@@ -285,6 +286,20 @@ def test_stale_handoff_is_parsed_around(ml_file, tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["matrix_source"] == "parsed"
     assert _curve_artifacts(tmp_path / "out") == _curve_artifacts(tmp_path / "bare")
+
+
+def test_matrix_file_of_the_old_format_is_parsed_around(ml_file, tmp_path):
+    # The old format stored a seventh record, the scale's name, under its own tag.
+    out = tmp_path / "o"
+    out.mkdir()
+    m = ds.build_matrix(ds.parse_movielens(ml_file))
+    old_key = hashlib.sha256(b"coldstart-matrix v1 movielens\n" + ml_file.read_bytes()).hexdigest()
+    records = (m.indptr, m.indices, m.values, m.user_ids, m.item_ids, m.timestamps)
+    ds.write_records(out / cli.MATRIX_FILE, old_key, (*records, np.array("identity_1_to_5")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ingest", "--input", str(ml_file), "--out", str(out), *ML_FLAGS]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["matrix_source"] == "parsed"
 
 
 def test_summary_counts_describe_the_matrix_a_stage_read(ml_file, tmp_path):
@@ -943,6 +958,35 @@ def test_pipeline_with_empty_cohort_writes_nothing(config, flags, jester_file, t
     assert rc == EXIT_USAGE
     assert ">= 61 ratings" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+@pytest.mark.parametrize("dataset", ["jester", "movielens"])
+def test_fit_on_an_input_without_ratings_writes_nothing(dataset, command, tmp_path, capsys):
+    data = tmp_path / "empty.txt"
+    data.write_text("")
+    argv = ["--dataset", dataset, "--input", str(data)]
+    assert main([command, *argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: input {data} holds no ratings"]
+    assert not (tmp_path / "o").exists()
+    # `ingest` alone still exports an empty input.
+    assert main(["ingest", *argv, "--out", str(tmp_path / "i")]) == EXIT_OK
+    assert (tmp_path / "i" / "canonical.csv").read_text() == "user_id,item_id,value,timestamp\n"
+
+
+def test_sweep_filters_the_matrix_once(ml_file, tmp_path, monkeypatch):
+    calls, real = [], ds.filter_min_ratings
+
+    def counted(m, min_count):
+        calls.append(min_count)
+        return real(m, min_count)
+
+    monkeypatch.setattr(cli.ds, "filter_min_ratings", counted)
+    argv = ["sweep", "--input", str(ml_file), "--out", str(tmp_path / "o"), "--coeffs", "10,20",
+            *ML_FLAGS]
+    assert main(argv) == EXIT_OK
+    assert calls == [11]  # one more than the default holdout of 10, above --min-ratings 6
 
 
 @pytest.mark.parametrize(

@@ -114,7 +114,6 @@ def test_parse_jester_grid():
     idx, vals = oracle.row(m, 1)
     assert idx.tolist() == [5]
     np.testing.assert_allclose(vals, [3.0])
-    assert m.scheme is ds.JESTER_AFFINE
 
 
 def test_parse_jester_with_user_id_column():
@@ -164,7 +163,6 @@ def test_build_matrix_dedup_keep_last():
     m = ds.build_matrix(_events([0, 0], [0, 0], [2.0, 4.0], [7, 5]))
     assert m.values.tolist() == [4.0]
     assert m.timestamps.tolist() == [5]  # arrival order decides, not the timestamp
-    assert m.scheme is ds.IDENTITY_1_TO_5
 
 
 @pytest.mark.parametrize(
@@ -193,16 +191,27 @@ def test_build_matrix_rows_sorted_and_ids_compacted():
 def test_build_matrix_empty_is_empty():
     m = ds.build_matrix(_events([], [], []))
     assert m.n_users == 0 and m.n_ratings == 0
+    assert m.timestamps is None
+    # An empty log still carries its (empty) timestamp column.
+    m = ds.build_matrix(ds.parse_movielens(io.StringIO("")))
+    assert (m.n_users, m.n_items, m.n_ratings) == (0, 0, 0)
+    assert m.timestamps.dtype == np.int64 and len(m.timestamps) == 0
 
 
 # ---------------------------------------------------------------- filtering / sampling
 
 def test_filter_min_ratings(mk_matrix):
-    m = mk_matrix([[1.0, 2.0, 3.0], [4.0, np.nan, np.nan], [np.nan, 5.0, 1.0]])
+    dense = [[1.0, 2.0, 3.0], [4.0, np.nan, np.nan], [np.nan, 5.0, 1.0]]
+    m = mk_matrix(dense, np.arange(9).reshape(3, 3))
     out = ds.filter_min_ratings(m, 2)
     assert out.n_users == 2
     assert out.user_ids.tolist() == [0, 2]
     assert out.n_items == m.n_items
+    assert out.indptr.dtype == np.int64 and out.indptr.tolist() == [0, 3, 5]
+    assert out.indices.dtype == np.int32 and out.indices.tolist() == [0, 1, 2, 1, 2]
+    assert out.values.tolist() == [1.0, 2.0, 3.0, 5.0, 1.0]
+    assert out.timestamps.tolist() == [0, 1, 2, 7, 8]
+    assert ds.filter_min_ratings(m, 1) is m
     with pytest.raises(EmptyResultError):
         ds.filter_min_ratings(m, 4)
 
@@ -341,7 +350,7 @@ def _outcome(parse, text, block=None, source=None):
 
 
 def _assert_same_matrix(a, b):
-    assert (a.n_users, a.n_items, a.scheme) == (b.n_users, b.n_items, b.scheme)
+    assert (a.n_users, a.n_items) == (b.n_users, b.n_items)
     for name in ("indptr", "indices", "values", "user_ids", "item_ids", "timestamps"):
         x, y = getattr(a, name), getattr(b, name)
         if x is None or y is None:
@@ -661,7 +670,6 @@ def test_validate_row_order_matches_isin_form(layout):
         values=np.ones(len(indices)),
         user_ids=np.arange(len(rows), dtype=np.int64),
         item_ids=np.arange(n_items, dtype=np.int64),
-        scheme=ds.IDENTITY_1_TO_5,
     )
     try:
         m.validate()
@@ -692,7 +700,7 @@ def test_written_matrix_reads_back_as_parsed(dataset, tmp_path):
     path = tmp_path / "matrix.bin"
     ds.write_matrix(m, path, "key-1")
     got = ds.read_matrix(path, "key-1")
-    assert (got.n_users, got.n_items, got.scheme) == (m.n_users, m.n_items, m.scheme)
+    assert (got.n_users, got.n_items) == (m.n_users, m.n_items)
     for name in ("indptr", "indices", "values", "user_ids", "item_ids", "timestamps"):
         want, have = getattr(m, name), getattr(got, name)
         if want is None:
@@ -801,7 +809,6 @@ def export_matrices(draw):
             draw(st.lists(_INT64, min_size=n_items, max_size=n_items, unique=True)),
             dtype=np.int64,
         ),
-        scheme=ds.IDENTITY_1_TO_5,
         timestamps=None if stamps is None else np.asarray(stamps, dtype=np.int64),
     )
 

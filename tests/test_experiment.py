@@ -310,6 +310,65 @@ def test_exp_tangent_finds_smooth_knee():
     assert rep.right_fit.slope == pytest.approx(0.8 / 10.0 * np.exp(-rep.t_star / 10.0), rel=0.3)
 
 
+# Every field of each method's report on three seeded noisy curves, pinned as
+# its repr, so that a change to how the side lines are fitted shows in the bits.
+_PINNED_REPORTS = [
+    (0, xp.SEGMENTED_LINEAR,
+     "BreakpointReport(t_star=8, method='segmented_linear', "
+     "left_fit=LineFit(slope=0.09015821854764193, intercept=0.1680244165355417, sse=0.009067938232200113), "
+     "right_fit=LineFit(slope=0.0025809395542760547, intercept=0.8200766812296002, sse=0.0133818271287509), "
+     "total_sse=0.022449765360951012)"),
+    (0, xp.KNEEDLE,
+     "BreakpointReport(t_star=8, method='kneedle', "
+     "left_fit=LineFit(slope=0.09015821854764193, intercept=0.1680244165355417, sse=0.009067938232200113), "
+     "right_fit=LineFit(slope=0.0025809395542760547, intercept=0.8200766812296002, sse=0.0133818271287509), "
+     "total_sse=0.022449765360951012)"),
+    (0, xp.EXP_TANGENT,
+     "BreakpointReport(t_star=24, method='exp_tangent', "
+     "left_fit=LineFit(slope=0.02349646594184082, intercept=0.47936617194417264, sse=0.2441428166842727), "
+     "right_fit=LineFit(slope=0.0005369973772457393, intercept=0.8823165208050215, sse=0.0006445140225594803), "
+     "total_sse=0.002297904090411133)"),
+    (1, xp.SEGMENTED_LINEAR,
+     "BreakpointReport(t_star=11, method='segmented_linear', "
+     "left_fit=LineFit(slope=0.06410926420825587, intercept=0.14712811623405053, sse=0.013944274415169483), "
+     "right_fit=LineFit(slope=0.0038840298065308068, intercept=0.7692122733376865, sse=0.013563784535809323), "
+     "total_sse=0.027508058950978805)"),
+    (1, xp.KNEEDLE,
+     "BreakpointReport(t_star=12, method='kneedle', "
+     "left_fit=LineFit(slope=0.05974846549991805, intercept=0.1645713110674019, sse=0.020219740988800902), "
+     "right_fit=LineFit(slope=0.0034736050508552404, intercept=0.7817986325117374, sse=0.010030296918846184), "
+     "total_sse=0.030250037907647086)"),
+    (1, xp.EXP_TANGENT,
+     "BreakpointReport(t_star=37, method='exp_tangent', "
+     "left_fit=LineFit(slope=0.015409090524994317, intercept=0.47798135524562024, sse=0.4348618581019672), "
+     "right_fit=LineFit(slope=0.00030518307140782236, intercept=0.8858720192425734, sse=0.00026929119326168547), "
+     "total_sse=0.0034334787363167834)"),
+    (2, xp.SEGMENTED_LINEAR,
+     "BreakpointReport(t_star=12, method='segmented_linear', "
+     "left_fit=LineFit(slope=0.05657308740294902, intercept=0.10226641461598071, sse=0.011516680562181475), "
+     "right_fit=LineFit(slope=0.0060244504024678505, intercept=0.6857392257807944, sse=0.01784923949703888), "
+     "total_sse=0.029365920059220355)"),
+    (2, xp.KNEEDLE,
+     "BreakpointReport(t_star=15, method='kneedle', "
+     "left_fit=LineFit(slope=0.04750061851340912, intercept=0.14445999374849605, sse=0.02980601888110502), "
+     "right_fit=LineFit(slope=0.004608446180616606, intercept=0.7300993694210165, sse=0.007145127359017073), "
+     "total_sse=0.03695114624012209)"),
+    (2, xp.EXP_TANGENT,
+     "BreakpointReport(t_star=37, method='exp_tangent', "
+     "left_fit=LineFit(slope=0.017942202236319076, intercept=0.38267208594837815, sse=0.373163356958288), "
+     "right_fit=LineFit(slope=0.0010965702101231182, intercept=0.8505381358504859, sse=0.00023175403066584186), "
+     "total_sse=0.003523246681474339)"),
+]
+
+
+@pytest.mark.parametrize("seed, method, want", _PINNED_REPORTS)
+def test_breakpoint_reports_are_pinned(seed, method, want):
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, 41)
+    y = 0.9 * (1.0 - np.exp(-t / (4.0 + 2 * seed))) + rng.normal(0, 0.01, t.size)
+    assert repr(xp.detect_breakpoint(_curve(t, y), method)) == want
+
+
 # ---------------------------------------------------------------- quality intersection
 
 def _quality(ts, cur, ref):

@@ -12,7 +12,7 @@ import recsys_oracle
 from conftest import matrix_from_dense
 from coldstart import kmeans as km
 from coldstart import recsys_eval as rv
-from coldstart.dataset import BY_ITEM_INDEX, IDENTITY_1_TO_5, RatingMatrix, read_records, write_records
+from coldstart.dataset import BY_ITEM_INDEX, RatingMatrix, read_records, write_records
 from coldstart.experiment import prefix_replay
 
 
@@ -236,7 +236,7 @@ def test_kernel_rows_match_csr_toarray(mk_matrix, fill):
     m = mk_matrix(dense)
     rows, kernel = km._kernel_rows(m)
     assert kernel == fill
-    want = m.to_csr().toarray()
+    want = oracle.csr_matrix(m).toarray()
     got = rows if kernel == "dense" else rows.toarray()
     assert isinstance(got, np.ndarray) and got.flags.c_contiguous
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -299,7 +299,7 @@ def _tall_matrix(n_users):
         indptr=np.arange(0, 100 * n_users + 1, 100, dtype=np.int64),
         indices=idx.ravel().astype(np.int32),
         values=rng.integers(2, 11, 100 * n_users) / 2.0,
-        user_ids=np.arange(n_users), item_ids=np.arange(200), scheme=IDENTITY_1_TO_5,
+        user_ids=np.arange(n_users), item_ids=np.arange(200),
     )
 
 
@@ -355,7 +355,7 @@ def _matrix_of(X):
     return RatingMatrix(
         n_users=n, n_items=d, indptr=X.indptr.astype(np.int64),
         indices=X.indices.astype(np.int32), values=X.data.astype(np.float64),
-        user_ids=np.arange(n), item_ids=np.arange(d), scheme=IDENTITY_1_TO_5,
+        user_ids=np.arange(n), item_ids=np.arange(d),
     )
 
 

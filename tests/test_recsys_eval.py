@@ -230,9 +230,12 @@ def test_sweep_matches_per_user_oracle(case, block, seed):
 
     train, held, gains, pools = rv._holdout_split(m, ecfg)
     o_train, o_held, o_gains, o_pools = oracle.holdout_split(m, ecfg)
-    for field in ("indptr", "indices", "values", "timestamps"):
+    for field in ("indptr", "indices", "values", "user_ids", "item_ids", "timestamps"):
         got, want = getattr(train, field), getattr(o_train, field)
-        assert (got is None and want is None) or np.array_equal(got, want), field
+        if got is None or want is None:
+            assert got is None and want is None, field
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
     assert np.array_equal(held, np.stack(o_held)) and held.dtype == o_held[0].dtype
     assert np.array_equal(gains, np.stack(o_gains))
     assert len(pools) == len(o_pools)
