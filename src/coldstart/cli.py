@@ -436,6 +436,11 @@ def _run(cfg: RunConfig, command: str) -> int:
     stages = pipeline if command == "pipeline" else (command,)
     if "sweep" in stages and not cfg.coeffs:
         raise UsageError("sweep needs a non-empty --coeffs list (e.g. --coeffs 25,50,100)")
+    if {"curves", "threshold"} <= set(stages) and cfg.t_max < 2 * xp.BREAKPOINT_MIN_SIDE:
+        raise UsageError(
+            f"t_max must be >= {2 * xp.BREAKPOINT_MIN_SIDE} for breakpoint detection "
+            f"({xp.BREAKPOINT_MIN_SIDE} curve points on each side of a candidate)"
+        )
     for stage, earlier, name in _PREREQUISITES:
         if stage in stages and earlier not in stages and not (out / name).exists():
             raise UsageError(f"missing {out / name} (run `{earlier}` first)")

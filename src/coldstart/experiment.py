@@ -32,6 +32,9 @@ SEGMENTED_LINEAR = "segmented_linear"
 KNEEDLE = "kneedle"
 EXP_TANGENT = "exp_tangent"
 
+# Points each side of a breakpoint candidate needs, so a curve needs twice as many.
+BREAKPOINT_MIN_SIDE = 4
+
 
 class SuccessPoint(NamedTuple):
     t: int
@@ -304,7 +307,8 @@ def detect_breakpoint(curve: SuccessCurve, method: str = SEGMENTED_LINEAR) -> Br
     endpoints after min-max normalization. exp_tangent jointly fits an
     exponential rise grafted onto its own tangent at the knee — the right
     model when the regime change is smooth rather than a slope break.
-    All methods require at least 4 points on each side of every candidate.
+    All methods require at least ``BREAKPOINT_MIN_SIDE`` points on each side
+    of every candidate.
 
     For segmented_linear, total_sse is left SSE + right SSE; for the other
     methods the side fits are descriptive and total_sse is the chosen
@@ -314,19 +318,20 @@ def detect_breakpoint(curve: SuccessCurve, method: str = SEGMENTED_LINEAR) -> Br
         raise ValueError(f"unknown method {method!r}")
     t = np.array([p.t for p in curve.points], dtype=np.float64)
     y = np.array([p.success_fraction for p in curve.points], dtype=np.float64)
-    # Candidate split points: >= 4 points on each side, strictly inside the curve.
+    # Candidate split points: enough points on each side, strictly inside the curve.
     # The left segment is t < t*, the right t >= t*: on a continuous hinge the
     # knee point lies on both lines, and this split makes the smallest zero-SSE
     # candidate the knee itself.
+    side = BREAKPOINT_MIN_SIDE
     candidates = [
         int(ts)
         for ts in t
-        if t[0] < ts < t[-1] and (t < ts).sum() >= 4 and (t >= ts).sum() >= 4
+        if t[0] < ts < t[-1] and (t < ts).sum() >= side and (t >= ts).sum() >= side
     ]
     if not candidates:
         raise ValueError(
             "too few points for breakpoint detection "
-            "(need >= 4 on each side of a candidate)"
+            f"(need >= {side} on each side of a candidate)"
         )
 
     if method == SEGMENTED_LINEAR:

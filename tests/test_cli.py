@@ -1052,6 +1052,32 @@ def test_curves_before_fit_tells_user_to_fit(jester_file, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("t_max, rc", [(7, EXIT_USAGE), (8, EXIT_OK)])
+def test_pipeline_t_max_must_fit_a_breakpoint(t_max, rc, jester_file, tmp_path, capsys):
+    # A breakpoint needs BREAKPOINT_MIN_SIDE curve points on each side of a candidate.
+    out = tmp_path / "o"
+    argv = [
+        "pipeline", "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
+        "--min-ratings", "50", "--sample", "20", "--t-max", str(t_max), "--out", str(out),
+    ]
+    assert main(argv) == rc
+    if rc == EXIT_USAGE:
+        assert capsys.readouterr().err.startswith("error: t_max must be >= 8")
+        assert not out.exists()
+    else:
+        assert "threshold: t_star=" in capsys.readouterr().out
+
+
+def test_curves_alone_accept_a_t_max_too_short_for_a_breakpoint(jester_file, tmp_path):
+    common = [
+        "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
+        "--min-ratings", "50", "--sample", "20", "--out", str(tmp_path / "o"),
+    ]
+    assert main(["fit", *common]) == EXIT_OK
+    assert main(["curves", *common, "--t-max", "7"]) == EXIT_OK
+    assert len((tmp_path / "o" / "success.csv").read_text().splitlines()) == 1 + 7
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -179,6 +179,15 @@ def test_events_reject_negative_ids_and_values_off_the_scale(columns, error):
         _events(*columns)
 
 
+@pytest.mark.parametrize("value", [5.5, 0.0, -np.inf, np.nan])
+def test_events_word_an_off_scale_value_as_normalize_does(value):
+    with pytest.raises(RatingRangeError) as expected:
+        ds.IDENTITY_1_TO_5.normalize(np.array([3.0, value]))
+    with pytest.raises(RatingRangeError) as got:
+        _events([0, 1], [0, 0], [3.0, value])
+    assert str(got.value) == str(expected.value)
+
+
 def test_build_matrix_rows_sorted_and_ids_compacted():
     m = ds.build_matrix(_events([9, 9, 4], [30, 10, 20], [1.0, 2.0, 3.0]))
     assert m.user_ids.tolist() == [4, 9]
