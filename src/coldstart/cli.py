@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -262,16 +263,11 @@ def _load_matrix(cfg: RunConfig) -> tuple[ds.RatingMatrix, dict]:
     }
 
 
-def _curve_cohort(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
-    """Users with at least ``min_ratings`` ratings; a usage error when there are none."""
+def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
+    """The seeded sample of users with at least ``min_ratings`` ratings; a usage error when there are none."""
     eligible = np.flatnonzero(m.row_lengths() >= cfg.min_ratings)
     if len(eligible) == 0:
         raise UsageError(f"no users with >= {cfg.min_ratings} ratings to sample from")
-    return eligible
-
-
-def _sample_curve_users(cfg: RunConfig, m: ds.RatingMatrix) -> np.ndarray:
-    eligible = _curve_cohort(cfg, m)
     n = cfg.sample
     if n > len(eligible):
         print(
@@ -351,9 +347,11 @@ def _sweep(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dic
     }
 
 
-def _curves(cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str) -> dict:
+def _curves(
+    cfg: RunConfig, m: ds.RatingMatrix, out: Path, input_key: str, *, users: np.ndarray
+) -> dict:
+    # `users` is the seeded sample `_run` drew and checked before any stage ran.
     model = km.load_model(out / "model.txt", m, labels=(out / LABELS_FILE, input_key))
-    users = _sample_curve_users(cfg, m)
     ordering = cfg.resolved_ordering()
 
     success = xp.success_curve(model, m, users, cfg.t_max, ordering)
@@ -451,17 +449,26 @@ def _run(cfg: RunConfig, command: str) -> int:
         raise UsageError(f"input {cfg.input} holds no ratings")
     if "sweep" in stages and not (m.row_lengths() >= _sweep_floor(cfg)).any():
         raise UsageError(f"no user has >= {_sweep_floor(cfg)} ratings")
+    run = dict(_STAGES)
     if "curves" in stages:
-        _curve_cohort(cfg, m)
         if cfg.resolved_ordering() == ds.BY_TIMESTAMP and m.timestamps is None:
             raise UsageError(f"ordering by_timestamp needs timestamps; {cfg.dataset} input has none")
+        users = _sample_curve_users(cfg, m)
+        run["curves"] = functools.partial(_curves, users=users)
+        # The success curve stops at the longest sampled history.
+        points = min(cfg.t_max, int(m.row_lengths()[users].max()))
+        if "threshold" in stages and points < 2 * xp.BREAKPOINT_MIN_SIDE:
+            raise UsageError(
+                f"the success curve would have {points} points (the longest sampled "
+                f"history), fewer than the {2 * xp.BREAKPOINT_MIN_SIDE} breakpoint detection needs"
+            )
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot create output directory {out}: {e.strerror or e}") from None
     key = input_summary.get("input_sha256")
     for i, name in enumerate(stages):
-        fragment = {**_STAGES[name](cfg, m, out, key), **input_summary}
+        fragment = {**run[name](cfg, m, out, key), **input_summary}
         if i == 0:
             write_resolved_config(cfg, out)
             if input_summary.get("matrix_source") == "parsed":

@@ -3,21 +3,23 @@
 Unrated dimensions enter distances and centroid means as 0.0. Rows meet
 centroids through one product kernel, chosen once per matrix from its fill
 ratio: a dense array multiplied by BLAS when at least ``DENSE_FILL`` of the
-cells hold a rating, the CSR matrix otherwise. The k-means++ init, every Lloyd
-assignment, the empty-cluster repair and ``_nearest`` all go through it, and
-every distance comes from one expansion, ``_sq_dists``: (-2·x·c + ‖x‖²) +
-‖c‖². A model's ``assignments`` are each row's nearest centroid, from one
-``_nearest`` pass that ``fit`` and ``load_model`` make alike. ``save_labels``
-writes them keyed by what they depend on: the centroids' bytes and the
-caller's key for the input (``labels_key``); a loaded model that reads them
-there needs no kernel, and so on a CSR matrix no scipy. Row
-norms, like every other per-row sum, are a segment sum in storage order
-(``dataset.segment_sums``), so ``fit``, ``load_model``, ``sse``,
-Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix replay of a whole row all
-see the same norm for it. Centroid means are always a sum over the matrix's
-own CSR arrays, each (item, cluster) cell adding its members in storage
-order, so they do not depend on the kernel, and the dense kernel needs no
-scipy at all.
+cells hold a rating, the matrix's own CSR arrays otherwise, multiplied by
+scipy's compiled ``csr_matvec(s)`` routines, loaded without the
+``scipy.sparse`` package. The k-means++ init, every Lloyd assignment and
+``_nearest`` all go through it, and every distance comes from one expansion,
+``_sq_dists``: (-2·x·c + ‖x‖²) + ‖c‖². A center that the init or the
+empty-cluster repair takes from a row is read from the matrix. A model's
+``assignments`` are each row's nearest centroid, from one ``_nearest`` pass
+that ``fit`` and ``load_model`` make alike. ``save_labels`` writes them
+keyed by what they depend on: the centroids' bytes and the caller's key for
+the input (``labels_key``); a loaded model that reads them there needs no
+kernel. Row norms, like every other per-row sum, are a segment sum in
+storage order (``dataset.segment_sums``), so ``fit``, ``load_model``,
+``sse``, Davies-Bouldin and the ``BY_ITEM_INDEX`` prefix replay of a whole
+row all see the same norm for it. Centroid means are always a sum over the
+matrix's own CSR arrays, each (item, cluster) cell adding its members in
+storage order, so they do not depend on the kernel, and the dense kernel
+needs no scipy at all.
 
 Every pass over the stored ratings (row norms, per-row dots, the dense fill
 and the mean update) runs one block of ``_ROW_BLOCK`` whole rows at a time,
@@ -35,6 +37,9 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -199,10 +204,11 @@ def _kernel(m: RatingMatrix) -> str:
 def _kernel_rows(m: RatingMatrix):
     """The rows as the product kernel takes them, and the kernel's name.
 
-    The CSR kernel takes a ``scipy.sparse.csr_matrix`` over ``m``'s own
-    arrays. The dense array is byte for byte that matrix's ``toarray()``,
-    which sums each rating into zeros: adding 0.0 turns a stored -0.0 into
-    0.0 as that sum does.
+    The CSR kernel takes ``m``'s own arrays as ``_CSRRows``, with ``indptr``
+    and ``indices`` in the one index dtype scipy's ``csr_matrix`` would give
+    them, so every product is byte for byte that matrix's. The dense array
+    is byte for byte its ``toarray()``, which sums each rating into zeros:
+    adding 0.0 turns a stored -0.0 into 0.0 as that sum does.
     """
     if _kernel(m) == "dense":
         X = np.zeros((m.n_users, m.n_items))
@@ -210,15 +216,117 @@ def _kernel_rows(m: RatingMatrix):
             X[rows][seg, m.indices[ratings]] = m.values[ratings]
         X += 0.0
         return X, "dense"
-    # Imported here so that commands that build no CSR matrix never load scipy.
-    from scipy import sparse
+    # Loaded here, on the calling thread, before restarts multiply on workers.
+    _sparsetools()
+    # scipy.sparse's index dtype: int32 unless a size or an offset needs more.
+    wide = max(m.n_users, m.n_items, m.n_ratings) > np.iinfo(np.int32).max
+    idx = np.int64 if wide else np.int32
+    rows = _CSRRows(
+        m.indptr.astype(idx, copy=False),
+        m.indices.astype(idx, copy=False),
+        m.values.astype(np.float64, copy=False),
+        (m.n_users, m.n_items),
+    )
+    return rows, "csr"
 
-    return sparse.csr_matrix((m.values, m.indices, m.indptr), shape=(m.n_users, m.n_items)), "csr"
+
+class _CSRRows:
+    """CSR rows that multiply dense arrays through scipy's compiled ``csr_matvec(s)``.
+
+    ``rows[lo:hi]`` is a block of rows over views of the same arrays, its
+    ``indptr`` rebased to 0. ``rows @ v`` for a vector (or a one-column
+    array) runs ``csr_matvec``, and ``rows @ a`` for an items x k array
+    runs ``csr_matvecs`` on ``a`` in C order: the routine and the layout a
+    ``scipy.sparse.csr_matrix`` product picks, into zeros as it does. Each
+    row's product adds its ratings in storage order, so a block's rows come
+    out as the same rows of the whole matrix.
+    """
+
+    def __init__(self, indptr, indices, values, shape):
+        self.indptr, self.indices, self.values, self.shape = indptr, indices, values, shape
+
+    def __getitem__(self, rows: slice) -> _CSRRows:
+        lo, hi, _ = rows.indices(self.shape[0])
+        ptr = self.indptr[lo : hi + 1]
+        start, stop = ptr[0], ptr[-1]
+        return _CSRRows(
+            ptr - start, self.indices[start:stop], self.values[start:stop], (hi - lo, self.shape[1])
+        )
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        n, d = self.shape
+        if other.ndim == 1 or other.shape[1] == 1:
+            out = np.zeros(n)
+            _sparsetools().csr_matvec(
+                n, d, self.indptr, self.indices, self.values, other.ravel(), out
+            )
+            return out.reshape(n, 1) if other.ndim == 2 else out
+        k = other.shape[1]
+        out = np.zeros((n, k))
+        _sparsetools().csr_matvecs(
+            n, d, k, self.indptr, self.indices, self.values, other.ravel(), out.ravel()
+        )
+        return out
 
 
-def _dense_rows(X, rows) -> np.ndarray:
-    """The given rows of a dense or CSR matrix as a dense 2-D array."""
-    return X[rows] if isinstance(X, np.ndarray) else X[rows].toarray()
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse routines, without importing the ``scipy.sparse`` package.
+
+    That import costs about 0.14 s and 22 MB, most of it scipy's array-API
+    layer, none of which the routines need. When ``scipy.sparse`` is already
+    loaded its module is taken; otherwise the extension file is loaded on
+    its own (``_load_sparsetools``), and when that fails the package is
+    imported as usual. Each way gives the same compiled routines.
+    """
+    if _SPARSETOOLS in sys.modules:
+        return sys.modules[_SPARSETOOLS]
+    try:
+        return _load_sparsetools()
+    except (ImportError, OSError):
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools
+
+
+def _load_sparsetools():
+    """Load ``scipy.sparse._sparsetools`` from its extension file.
+
+    ``find_spec`` locates the scipy package without importing it. The module
+    registers itself in ``sys.modules`` as it loads; that entry is dropped,
+    so a later ``import scipy.sparse`` loads the package whole.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy not found")
+    directory = Path(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_sparsetools{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _sparsetools extension file in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SPARSETOOLS, loader))
+    loader.exec_module(module)
+    if sys.modules.get(_SPARSETOOLS) is module:
+        del sys.modules[_SPARSETOOLS]
+    return module
+
+
+def _dense_row(m: RatingMatrix, p: int) -> np.ndarray:
+    """Row ``p`` of ``m`` as a dense vector, its ratings added into zeros.
+
+    Byte for byte that row of either kernel's rows: a stored -0.0 comes out
+    as 0.0, as in ``toarray()``.
+    """
+    row = np.zeros(m.n_items)
+    lo, hi = m.indptr[p], m.indptr[p + 1]
+    row[m.indices[lo:hi]] += m.values[lo:hi]
+    return row
 
 
 @cache
@@ -299,7 +407,7 @@ def _nearest(X, xnorms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _repair_empty(
-    X,
+    m: RatingMatrix,
     labels: np.ndarray,
     dists: np.ndarray,
     centroids: np.ndarray,
@@ -315,7 +423,7 @@ def _repair_empty(
         counts[labels[p]] -= 1
         labels[p] = j
         counts[j] = 1
-        centroids[j] = _dense_rows(X, [p])[0]
+        centroids[j] = _dense_row(m, p)
         dists[p] = 0.0
 
 
@@ -347,8 +455,13 @@ def _cluster_means(m: RatingMatrix, labels: np.ndarray, k: int) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _init_centroids(X, xnorms: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: D^2 sampling against the nearest already-chosen center."""
+def _init_centroids(
+    X, m: RatingMatrix, xnorms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding: D^2 sampling against the nearest already-chosen center.
+
+    `X` holds ``m``'s rows for the product kernel; a chosen center is read from ``m``.
+    """
     n, d = X.shape
     centroids = np.zeros((k, d))
     d2 = np.full(n, np.inf)  # to the nearest chosen center; the first pick is uniform
@@ -358,7 +471,7 @@ def _init_centroids(X, xnorms: np.ndarray, k: int, rng: np.random.Generator) -> 
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=d2 / total))
-        centroids[j] = _dense_rows(X, [pick])[0]
+        centroids[j] = _dense_row(m, pick)
         c = centroids[j]
         d2 = np.minimum(d2, np.maximum(_sq_dists(X @ c, xnorms, c @ c), 0.0))
     return centroids
@@ -373,16 +486,16 @@ def _lloyd(
 ) -> tuple[np.ndarray, list[float], RestartRecord]:
     """One Lloyd run. Returns (centroids, per-step SSE, how it ended).
 
-    `X` holds the rows for the product kernel; the mean update reads the
-    same rows from `m`. Every step assigns and repairs first, so the last
-    SSE belongs to the returned centroids.
+    `X` holds the rows for the product kernel; the mean update and the
+    empty-cluster repair read the same rows from `m`. Every step assigns and
+    repairs first, so the last SSE belongs to the returned centroids.
     """
     labels = None
     shift = np.inf
     history: list[float] = []
     for step in range(cfg.max_steps + 1):
         new_labels, dists = _assign_all(X, xnorms, centroids)
-        _repair_empty(X, new_labels, dists, centroids)
+        _repair_empty(m, new_labels, dists, centroids)
         history.append(float(dists.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             stop = "labels_stable"
@@ -430,7 +543,7 @@ def fit(
 
     def run(r: int):
         rng = np.random.default_rng(cfg.seed + r)
-        centroids0 = _init_centroids(X, xnorms, cfg.n_clusters, rng)
+        centroids0 = _init_centroids(X, m, xnorms, cfg.n_clusters, rng)
         return _lloyd(X, m, xnorms, centroids0, cfg)
 
     # Results arrive in restart order; each is dropped once compared, so only

@@ -1068,6 +1068,51 @@ def test_pipeline_t_max_must_fit_a_breakpoint(t_max, rc, jester_file, tmp_path, 
         assert "threshold: t_star=" in capsys.readouterr().out
 
 
+def _write_short_movielens(path):
+    """60 users with 5-7 ratings each: no success curve gets past t = 7."""
+    rng = np.random.default_rng(3)
+    lines = []
+    for u in range(60):
+        for j, it in enumerate(rng.choice(40, size=5 + u % 3, replace=False)):
+            lines.append(f"{u}::{it}::{int(rng.integers(1, 6))}::{100000 + u * 100 + j}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_pipeline_checks_the_success_curve_length_before_writing(tmp_path, capsys):
+    # t_max = 100 allows a breakpoint, but the sampled histories cut the
+    # success curve to 7 points; the run stops before it makes --out.
+    data, out = tmp_path / "ratings.dat", tmp_path / "o"
+    _write_short_movielens(data)
+    common = [
+        "--dataset", "movielens", "--input", str(data), "--k-coeff", "10",
+        "--min-ratings", "5", "--sample", "20", "--t-max", "100", "--out", str(out),
+    ]
+    assert main(["pipeline", *common]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the success curve would have 7 points")
+    assert not out.exists()
+    # Curves alone need no breakpoint.
+    assert main(["fit", *common]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["curves", *common]) == EXIT_OK
+    assert "curves: success over 7 prefix lengths" in capsys.readouterr().out
+
+
+def test_pipeline_draws_the_curve_sample_once(ml_file, tmp_path, capsys, monkeypatch):
+    drawn = []
+    real = ds.sample_users
+
+    def sample_users(*args, **kwargs):
+        drawn.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ds, "sample_users", sample_users)
+    argv = ["pipeline", "--input", str(ml_file), "--out", str(tmp_path / "o"), *ML_FLAGS]
+    assert main([*argv, "--sample", "500"]) == EXIT_OK  # more than the eligible users
+    assert len(drawn) == 1
+    assert capsys.readouterr().err.count("warning: sample 500 exceeds") == 1
+
+
 def test_curves_alone_accept_a_t_max_too_short_for_a_breakpoint(jester_file, tmp_path):
     common = [
         "--dataset", "jester", "--input", str(jester_file), "--k-coeff", "10",
@@ -1224,7 +1269,7 @@ def test_dense_kernel_pipeline_and_curves_load_no_scipy(jester_file, tmp_path):
     assert mods == []
 
 
-def test_csr_kernel_pipeline_loads_scipy_sparse_only(tmp_path):
+def test_csr_kernel_pipeline_loads_no_scipy_package(tmp_path):
     data = tmp_path / "ratings.dat"
     _write_movielens(data, n_items=300)  # about 3 % filled: the CSR kernel
     codes, mods, _ = _loaded_scipy_modules(tmp_path, [
@@ -1234,8 +1279,8 @@ def test_csr_kernel_pipeline_loads_scipy_sparse_only(tmp_path):
     ])
     assert codes == [EXIT_OK]
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["kmeans_kernel"] == "csr"
-    assert "scipy.sparse" in mods  # the CSR kernel and the sweep build CSR matrices
-    assert not [m for m in mods if m.startswith(("scipy.spatial", "scipy.optimize"))]
+    # The fit and the sweep call scipy's compiled CSR routines, loaded without the package.
+    assert mods == []
 
 
 def test_csr_kernel_curves_load_no_scipy_while_fits_labels_match(tmp_path):
@@ -1253,7 +1298,29 @@ def test_csr_kernel_curves_load_no_scipy_while_fits_labels_match(tmp_path):
     (out / cli.LABELS_FILE).unlink()
     codes, mods, _ = _loaded_scipy_modules(tmp_path, ["curves", *flags])
     assert codes == [EXIT_OK]
-    assert "scipy.sparse" in mods
+    assert mods == []
+
+
+def test_csr_kernel_fit_leaves_a_later_scipy_import_working(tmp_path):
+    # `exp_tangent` imports scipy.optimize, and with it scipy.sparse, after the
+    # fit has loaded the CSR routines on their own; a fit after it still runs.
+    data = tmp_path / "ratings.dat"
+    _write_movielens(data, n_items=300)  # about 3 % filled: the CSR kernel
+    config = tmp_path / "exp.config"
+    config.write_text(f"breakpoint_method = {xp.EXP_TANGENT}\n")
+    flags = ["--input", str(data), *ML_FLAGS]
+    codes, mods, _ = _loaded_scipy_modules(
+        tmp_path,
+        ["pipeline", "--config", str(config), "--out", str(tmp_path / "a"), *flags],
+        ["fit", "--out", str(tmp_path / "b"), *flags],
+    )
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert {"scipy.optimize", "scipy.sparse"} <= set(mods)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert json.loads((a / "summary.json").read_text())["kmeans_kernel"] == "csr"
+    assert f"method={xp.EXP_TANGENT}\n" in (a / "threshold.txt").read_text()
+    assert (a / "model.txt").read_bytes() == (b / "model.txt").read_bytes()
+    assert (a / cli.LABELS_FILE).read_bytes() == (b / cli.LABELS_FILE).read_bytes()
 
 
 @pytest.mark.parametrize("dataset", ["jester", "movielens"])

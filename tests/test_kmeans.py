@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -9,7 +12,7 @@ from scipy import sparse
 
 import kmeans_oracle as oracle
 import recsys_oracle
-from conftest import matrix_from_dense
+from conftest import child_env, matrix_from_dense
 from coldstart import kmeans as km
 from coldstart import recsys_eval as rv
 from coldstart.dataset import BY_ITEM_INDEX, RatingMatrix, read_records, write_records
@@ -236,11 +239,57 @@ def test_kernel_rows_match_csr_toarray(mk_matrix, fill):
     m = mk_matrix(dense)
     rows, kernel = km._kernel_rows(m)
     assert kernel == fill
-    want = oracle.csr_matrix(m).toarray()
-    got = rows if kernel == "dense" else rows.toarray()
-    assert isinstance(got, np.ndarray) and got.flags.c_contiguous
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    csr = oracle.csr_matrix(m)
+    want = csr.toarray()
+    # Init and repair read one row at a time from m, whichever the kernel.
+    for p in range(m.n_users):
+        assert km._dense_row(m, p).tobytes() == want[p].tobytes()
+    if kernel == "dense":
+        assert isinstance(rows, np.ndarray) and rows.flags.c_contiguous
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+    else:
+        centroids = rng.uniform(-5, 5, (4, 9))
+        assert (rows @ centroids.T).tobytes() == (csr @ centroids.T).tobytes()
+        assert (rows @ centroids[2]).tobytes() == (csr @ centroids[2]).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_csr_rows_products_match_scipy_csr_matrix(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 50)), int(rng.integers(1, 12))
+    values = np.round(rng.uniform(-10, 10, (n, d)), 2)
+    dense = np.where(rng.random((n, d)) < rng.choice([0.1, 0.3, 0.7]), values, np.nan)
+    dense[rng.integers(0, n, n // 5)] = np.nan  # empty rows
+    dense[n - int(rng.integers(0, 3)):] = np.nan  # trailing empty rows, sometimes
+    dense[int(rng.integers(n)), int(rng.integers(d))] = -0.0
+    m = matrix_from_dense(dense)
+    k = 1 if rng.random() < 0.3 else int(rng.integers(2, 9))
+    centroids = np.round(rng.uniform(-10, 10, (k, d)), 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "DENSE_FILL", np.inf)
+        rows, kernel = km._kernel_rows(m)
+    assert kernel == "csr"
+    csr = oracle.csr_matrix(m)
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo + 1, n + 1))
+    for block in (slice(None), slice(lo, hi), slice(lo, None)):  # blocks from mid-matrix too
+        got, want = rows[block] @ centroids.T, csr[block] @ centroids.T
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # The k-means++ init's one-vector product, with a chosen row as the vector.
+    c = km._dense_row(m, lo)
+    assert (rows @ c).tobytes() == (csr @ c).tobytes()
+    for p in range(n):
+        assert km._dense_row(m, p).tobytes() == csr[[p]].toarray()[0].tobytes()
+    # Whole assignments in blocks that start mid-matrix.
+    xnorms = km._row_sq_norms(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_CHUNK", int(rng.integers(1, n + 1)))
+        labels, dists = km._assign_all(rows, xnorms, centroids)
+        want_labels, want_dists = km._assign_all(csr, xnorms, centroids)
+    assert labels.tobytes() == want_labels.tobytes()
+    assert dists.tobytes() == want_dists.tobytes()
 
 
 def _blocked_case(seed):
@@ -499,6 +548,79 @@ def test_dense_fit_threads_do_not_change_result():
         assert a.sse == b.sse
         assert a.step_sse == b.step_sse
         assert a.restarts == b.restarts
+
+
+def _csr_threads_case():
+    """1,500 x 200, about 4 % rated, the last rows empty: the CSR kernel."""
+    rng = np.random.default_rng(22)
+    dense = np.where(rng.random((1500, 200)) < 0.04, rng.integers(2, 11, (1500, 200)) / 2.0, 0.0)
+    dense[-3:] = 0.0
+    return _matrix_of(sparse.csr_matrix(dense))
+
+
+def test_csr_fit_threads_do_not_change_result():
+    m = _csr_threads_case()
+    cfg = km.KMeansConfig(n_clusters=40, restarts=4, max_steps=8, seed=2)
+    a = km.fit(m, cfg, threads=1, collect_step_sse=True)
+    assert a.kernel == "csr"
+    b = km.fit(m, cfg, threads=8, collect_step_sse=True)
+    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assert a.assignments.tobytes() == b.assignments.tobytes()
+    assert a.sse == b.sse
+    assert a.step_sse == b.step_sse
+    assert a.restarts == b.restarts
+
+
+# A CSR fit in a fresh process, its compiled routines loaded from their file
+# ("direct") or, with that load made to fail, through the scipy.sparse package.
+_CSR_FIT_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from coldstart import kmeans as km
+from coldstart.dataset import RatingMatrix
+
+def unloadable():
+    raise ImportError("forced")
+
+if sys.argv[1] == "fallback":
+    km._load_sparsetools = unloadable
+km._CHUNK = 100  # distance blocks that start mid-matrix
+rng = np.random.default_rng(7)
+dense = np.where(rng.random((900, 150)) < 0.05, rng.integers(2, 11, (900, 150)) / 2.0, 0.0)
+dense[-4:] = 0.0
+rows, cols = np.nonzero(dense)
+m = RatingMatrix(
+    n_users=900, n_items=150,
+    indptr=np.concatenate([[0], np.cumsum(np.count_nonzero(dense, axis=1))]),
+    indices=cols.astype(np.int32), values=dense[rows, cols],
+    user_ids=np.arange(900), item_ids=np.arange(150),
+)
+model = km.fit(m, km.KMeansConfig(n_clusters=30, restarts=3, max_steps=15, seed=4), threads=2)
+print(json.dumps({
+    "kernel": model.kernel,
+    "centroids": hashlib.sha256(model.centroids.tobytes()).hexdigest(),
+    "labels": hashlib.sha256(model.assignments.tobytes()).hexdigest(),
+    "sse": repr(model.sse),
+    "restarts": [list(r) for r in model.restarts],
+    "scipy": sorted(n for n in sys.modules if n.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def test_csr_fit_is_the_same_when_the_routines_load_through_scipy_sparse():
+    runs = {}
+    for how in ("direct", "fallback"):
+        res = subprocess.run(
+            [sys.executable, "-c", _CSR_FIT_SCRIPT, how],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        runs[how] = json.loads(res.stdout)
+    direct, fallback = runs["direct"], runs["fallback"]
+    assert direct["kernel"] == "csr"
+    assert direct.pop("scipy") == []
+    assert "scipy.sparse" in fallback.pop("scipy")
+    assert direct == fallback
 
 
 @pytest.mark.skipif(not km.blas_thread_cap_found(), reason="OpenBLAS thread count not settable")
