@@ -5,7 +5,7 @@ event logs and Jester-style delimiter-separated rating grids with a 99.0
 "not rated" sentinel. Both are normalized onto a common [1, 5] scale so the
 clustering and quality code paths are shared.
 
-Both parsers read the input text in blocks of about ``_PARSE_BLOCK`` bytes,
+Both parsers read the input text in blocks of about ``_TEXT_BLOCK`` bytes,
 each cut after its last newline, and pass each block to one ``np.loadtxt``
 call, which skips empty lines. The numeric columns are checked with array
 operations, so no Python code runs per line or rating: ``parse_movielens``
@@ -13,10 +13,10 @@ returns ``RatingEvents`` columns, which ``build_matrix`` sorts and
 deduplicates. Only when a call fails (a line holding only whitespace fails
 it too), or a row fails a check, does a line-by-line scan of that block run,
 to name the first bad line. ``export_canonical_csv`` writes a matrix back
-out as text gathered from per-field tables into byte grids, with no Python
-code per row. ``write_matrix`` stores a parsed matrix under a caller's key
-and ``read_matrix`` gives it back only under that key, so that a later
-process can skip the parse. Both go through ``write_records`` and ``read_records``,
+out as text gathered from per-field tables into byte grids of at most
+``_TEXT_BLOCK`` bytes, with no Python code per row. ``write_matrix`` stores
+a parsed matrix under a caller's key and ``read_matrix`` gives it back only
+under that key, so that a later process can skip the parse. Both go through ``write_records`` and ``read_records``,
 a keyed stream of ``.npy`` records that any other handoff file can share.
 """
 
@@ -191,20 +191,29 @@ def _assemble(
     return m
 
 
-# Bytes of input read per block (characters, from a text stream), before the
-# block is cut back to its last newline and handed to one np.loadtxt call.
-# The size bounds every buffer the parse makes and frees at any input size.
-# One whole-input call freed a 10 MB grid on jester-fit, which raised glibc's
-# dynamic mmap threshold, and the later k-means fit then peaked about 20 MB
-# higher. At 128 KiB the largest buffer is the 4-bytes-per-character copy of
-# the block that io.StringIO makes for np.loadtxt, 512 KB; a block holds
-# about 230 jester-fit rows, a 190 KB grid. The parse took about as long at
-# 32, 64 and 256 KiB.
-_PARSE_BLOCK = 1 << 17
+# Bytes per block of every text pass: the input read per parse block
+# (characters, from a text stream), before it is cut back to its last newline
+# and handed to one np.loadtxt call, and the canonical.csv text per export
+# block. The size bounds every buffer either pass makes and frees at any input
+# size, and buffers freed before a k-means fit move its peak RSS (the FOUND:
+# entry on fit's peak memory in CHANGES.md).
+# - Parse: one whole-input call freed a 10 MB grid on jester-fit, which raised
+#   glibc's dynamic mmap threshold, and the later fit then peaked about 20 MB
+#   higher. At 128 KiB the largest buffer is the 4-bytes-per-character copy
+#   of the block that io.StringIO makes for np.loadtxt, 512 KB; a block holds
+#   about 230 jester-fit rows, a 190 KB grid. The parse took about as long at
+#   32, 64 and 256 KiB.
+# - Export: the size is counted at the widest a row can be, so every buffer a
+#   block or window makes (gathered fields, the padded grid, its mask, the
+#   text, the window's int64 index arrays) stays within it for any id and
+#   value widths, below the about 0.3 MB of text per 16,384-row block the
+#   per-row writer freed on Jester. 256 KiB read 2.1 MB higher on one
+#   jester-fit seed, 0.4 MB lower on another.
+_TEXT_BLOCK = 1 << 17
 
 
 def _read_text(source: str | Path | IO) -> Iterator[str]:
-    """The text of ``source`` in pieces of at most ``_PARSE_BLOCK`` characters.
+    """The text of ``source`` in pieces of at most ``_TEXT_BLOCK`` characters.
 
     A path is read as UTF-8 with universal newlines. A bytes stream goes
     through an incremental UTF-8 decoder, so a piece may end inside a
@@ -212,10 +221,10 @@ def _read_text(source: str | Path | IO) -> Iterator[str]:
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from iter(partial(fh.read, _PARSE_BLOCK), "")
+            yield from iter(partial(fh.read, _TEXT_BLOCK), "")
         return
     decoder = codecs.getincrementaldecoder("utf-8")()
-    while piece := source.read(_PARSE_BLOCK):
+    while piece := source.read(_TEXT_BLOCK):
         yield piece if isinstance(piece, str) else decoder.decode(piece)
     decoder.decode(b"", final=True)  # a truncated character at the end raises
 
@@ -616,16 +625,6 @@ def sample_users(
     return [int(population[i]) for i in picked]
 
 
-# Bytes per block of canonical.csv text, counted at the widest a row can be,
-# so that every buffer a block or window makes (gathered fields, the padded
-# grid, its mask, the text, the window's int64 index arrays) stays within it
-# for any id and value widths, below the about 0.3 MB of text per 16,384-row
-# block the per-row writer freed on Jester. Buffers freed before a k-means fit
-# move its peak RSS (the FOUND: entry on fit's peak memory in CHANGES.md);
-# 256 KiB read 2.1 MB higher on one jester-fit seed, 0.4 MB lower on another.
-_EXPORT_BLOCK = 1 << 17
-
-
 class _TextTable:
     """``fmt`` of each distinct value seen so far, as NUL-padded uint8 rows sorted by bit pattern.
 
@@ -662,9 +661,9 @@ def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
     Values are written as ``repr(float)``, ids and timestamps as ``str(int)``,
     and no Python code runs per row. Each field's text, with the separator
     that follows it, is made once per distinct id or value in the matrix and
-    once per distinct timestamp in each window of ``_EXPORT_BLOCK // 8``
+    once per distinct timestamp in each window of ``_TEXT_BLOCK // 8``
     rows, into NUL-padded uint8 tables. Each block of at most
-    ``_EXPORT_BLOCK`` bytes gathers its fields from those tables into one
+    ``_TEXT_BLOCK`` bytes gathers its fields from those tables into one
     grid, which is written without its NULs.
     """
     stamped = m.timestamps is not None
@@ -673,7 +672,7 @@ def export_canonical_csv(m: RatingMatrix, dest: str | Path | IO[str]) -> None:
     value_text = _TextTable(np.float64, ("{!r}," if stamped else "{!r},\n").format)
     # A float64 repr is at most 24 characters ("-2.2250738585072014e-308"), an int64 20.
     widest = users.shape[1] + items.shape[1] + (46 if stamped else 26)
-    window, block = max(1, _EXPORT_BLOCK // 8), max(1, _EXPORT_BLOCK // widest)
+    window, block = max(1, _TEXT_BLOCK // 8), max(1, _TEXT_BLOCK // widest)
 
     def _write(fh) -> None:
         fh.write("user_id,item_id,value,timestamp\n")

@@ -64,8 +64,9 @@ class QualityCurve:
     """Mean signed cluster-quality term of prefix-assigned vs final clusters.
 
     Prefixes saturate at each user's history length, so every user contributes
-    at every t and the two series coincide exactly once t covers the longest
-    history.
+    at every t. The two series coincide exactly once t covers the longest
+    history among the curve users; when ``t_max`` stops short of it, they
+    need not meet at all.
     """
 
     points: tuple[QualityPoint, ...]
@@ -222,7 +223,8 @@ def quality_curve(
 
     Every user contributes at every t with a prefix capped at their history
     length, so the reference series is constant and the current series meets
-    it exactly at saturation.
+    it exactly at saturation: only when ``t_max`` reaches the longest history
+    among ``users``.
     """
     replay = prefix_replay(model, m, users, t_max, ordering)
     terms = davies_bouldin(model, m).per_cluster_db_term

@@ -21,10 +21,10 @@ matrix's own CSR arrays, each (item, cluster) cell adding its members in
 storage order, so they do not depend on the kernel, and the dense kernel
 needs no scipy at all.
 
-Every pass over the stored ratings (row norms, per-row dots, the dense fill
-and the mean update) runs one block of ``_ROW_BLOCK`` whole rows at a time,
-so its temporaries take memory by the block, not by the matrix, and give the
-same bytes as one pass over the whole matrix.
+Every pass over the rows (each assignment, row norms, per-row dots, the
+dense fill and the mean update) runs one block of ``_ROW_BLOCK`` whole rows
+at a time, so its temporaries take memory by the block, not by the matrix,
+and give the same bytes as one pass over the whole matrix.
 
 Multi-restart fits are deterministic for a fixed seed regardless of the worker
 thread count: restarts are the only parallel level, each one runs whole on one
@@ -61,15 +61,17 @@ from .dataset import RatingMatrix, read_records, segment_ids, segment_sums, writ
 # takes at most 32 bytes per rating, against 12 for CSR.
 DENSE_FILL = 0.25
 
-_CHUNK = 8192  # CSR rows per distance block
-# Dense rows per distance block: 0.5 MB of distances at k = 250. 8,192-row
-# blocks raised jester-fit's peak RSS by 10-40 MB (they land on thread heaps).
-_DENSE_CHUNK = 256
-# Rows per block of a per-rating pass (row norms, per-row dots, the dense
-# fill, the mean update): about 3.4 MB of temporaries per block at 100
-# ratings a row. On jester-fit 4,096-row blocks raised the peak RSS from 80.5
-# to 95.9 MB, and 256-row blocks lowered it only to 77.0 MB.
-_ROW_BLOCK = 1024
+# Rows per block of every pass over the rows: the assignment's distances (1 MB
+# at k = 250), the row norms, per-row dots, the dense fill and the mean update
+# (about 1.7 MB of temporaries at 100 ratings a row). Blocks land on thread
+# heaps: on jester-fit 8,192-row distance blocks raised the peak RSS by
+# 10-40 MB and 4,096-row per-rating blocks by 15 MB. Against 1,024-row
+# per-rating blocks with 256-row dense and 8,192-row CSR distance blocks, 512
+# rows lowered the peak RSS from 77.1 to 75.8 MB on jester-fit and from 65.5
+# to 63.0 MB on movielens-sweep, at the same speed (10 alternating benchmark
+# pairs, 2 vCPUs). 256 rows read 73.4 MB on jester-fit, but its fit took
+# 0.81 s in process against 0.75 s at 512.
+_ROW_BLOCK = 512
 
 MODEL_FORMAT = "coldstart-kmeans v1"
 LABELS_FORMAT = "coldstart-labels v1"
@@ -202,7 +204,7 @@ def _kernel(m: RatingMatrix) -> str:
 
 
 def _kernel_rows(m: RatingMatrix):
-    """The rows as the product kernel takes them, and the kernel's name.
+    """The rows as the product kernel that ``_kernel(m)`` names takes them.
 
     The CSR kernel takes ``m``'s own arrays as ``_CSRRows``, with ``indptr``
     and ``indices`` in the one index dtype scipy's ``csr_matrix`` would give
@@ -215,19 +217,18 @@ def _kernel_rows(m: RatingMatrix):
         for rows, ratings, seg in _row_blocks(m):
             X[rows][seg, m.indices[ratings]] = m.values[ratings]
         X += 0.0
-        return X, "dense"
+        return X
     # Loaded here, on the calling thread, before restarts multiply on workers.
     _sparsetools()
     # scipy.sparse's index dtype: int32 unless a size or an offset needs more.
     wide = max(m.n_users, m.n_items, m.n_ratings) > np.iinfo(np.int32).max
     idx = np.int64 if wide else np.int32
-    rows = _CSRRows(
+    return _CSRRows(
         m.indptr.astype(idx, copy=False),
         m.indices.astype(idx, copy=False),
         m.values.astype(np.float64, copy=False),
         (m.n_users, m.n_items),
     )
-    return rows, "csr"
 
 
 class _CSRRows:
@@ -379,16 +380,15 @@ def _assign_all(X, xnorms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarra
 
     Ties go to the lowest index; BLAS can round two exactly tied distances
     apart, so on a dense matrix that holds for the computed distances.
-    Rows are taken in blocks (`_DENSE_CHUNK` dense, `_CHUNK` CSR) only to
-    bound the distance block's memory.
+    Rows are taken in blocks of ``_ROW_BLOCK`` only to bound the distance
+    block's memory.
     """
     n = X.shape[0]
-    step = _DENSE_CHUNK if isinstance(X, np.ndarray) else _CHUNK
     cnorms = np.einsum("ij,ij->i", centroids, centroids)
     labels = np.empty(n, dtype=np.intp)
     dists = np.empty(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
         d = X[lo:hi] @ centroids.T
         _sq_dists(d, xnorms[lo:hi, None], cnorms, out=d)
         labels[lo:hi] = np.argmin(d, axis=1)
@@ -538,7 +538,7 @@ def fit(
     if cfg.n_clusters > m.n_users:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds n_users={m.n_users}")
 
-    X, kernel = _kernel_rows(m)
+    X = _kernel_rows(m)
     xnorms = _row_sq_norms(m)
 
     def run(r: int):
@@ -572,7 +572,7 @@ def fit(
         seed=cfg.seed,
         step_sse=tuple(histories) if collect_step_sse else None,
         restarts=tuple(records),
-        kernel=kernel,
+        kernel=_kernel(m),
     )
 
 
@@ -701,7 +701,7 @@ def load_model(
         raise ValueError("matrix item space does not match the model file")
     assignments = _read_labels(*labels, centroids, m.n_users) if labels else None
     if assignments is None:
-        assignments = _nearest(_kernel_rows(m)[0], _row_sq_norms(m), centroids)
+        assignments = _nearest(_kernel_rows(m), _row_sq_norms(m), centroids)
     centroids.flags.writeable = False
     return ClusterModel(
         centroids=centroids,

@@ -9,10 +9,10 @@ splits and the whole sweep is reproducible.
 Each fit gets one items x clusters table of mean ratings, summed one block
 of training rows at a time with the cells of the k-means mean update; a
 candidate's score is one lookup in it.
-Users are ranked in blocks of ``_RANK_BLOCK``, which bounds the sort's
-memory: a block pads its candidate lists into one array and sorts each row
-by (-score, item). AP sums in rank order and NDCG calls ``ndcg_at_n`` per
-row, so both keep the bits of the per-user definitions.
+Users are ranked in the same blocks of ``kmeans._ROW_BLOCK`` rows, which
+bound the sort's memory: a block pads its candidate lists into one array and
+sorts each row by (-score, item). AP sums in rank order and NDCG calls
+``ndcg_at_n`` per row, so both keep the bits of the per-user definitions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RatingMatrix, _subset, segment_sums
-from .kmeans import KMeansConfig, _cell_blocks, fit, n_clusters_from_coeff
+from .kmeans import KMeansConfig, _cell_blocks, _row_blocks, fit, n_clusters_from_coeff
 
 FALLBACK_SCORE = 3.0
 
@@ -162,9 +162,6 @@ def _holdout_split(
     return train, m.indices[held], m.values[held], pools
 
 
-_RANK_BLOCK = 256
-
-
 def _rank_block(
     table: np.ndarray,
     labels: np.ndarray,
@@ -236,10 +233,9 @@ def sweep_coefficient(
         table = _score_table(train, labels, k)
 
         ndcgs, aps = [], []
-        for lo in range(0, train.n_users, _RANK_BLOCK):
-            hi = min(lo + _RANK_BLOCK, train.n_users)
+        for users, _, _ in _row_blocks(train):
             block_ndcgs, block_aps = _rank_block(
-                table, labels[lo:hi], held_items[lo:hi], held_gains[lo:hi], pools[lo:hi], ecfg
+                table, labels[users], held_items[users], held_gains[users], pools[users], ecfg
             )
             ndcgs += block_ndcgs
             aps.append(block_aps)

@@ -342,13 +342,13 @@ def test_export_canonical_csv_without_timestamps(mk_matrix):
 def _outcome(parse, text, block=None, source=None):
     """(result or exception, warnings) of parsing ``text``, reading ``block`` bytes at a time.
 
-    ``block`` replaces ``_PARSE_BLOCK``, the size of each read (in characters
+    ``block`` replaces ``_TEXT_BLOCK``, the size of each read (in characters
     from a text stream) before the reader cuts back to the last newline; the
     default if None. ``source`` is what ``parse`` reads ``text`` from; a text
     stream if None.
     """
     with warnings.catch_warnings(record=True) as caught, mock.patch.object(
-        ds, "_PARSE_BLOCK", block or ds._PARSE_BLOCK
+        ds, "_TEXT_BLOCK", block or ds._TEXT_BLOCK
     ):
         warnings.simplefilter("always")
         try:
@@ -758,7 +758,7 @@ def test_matrix_file_failing_validation_is_not_used(tmp_path, mk_matrix):
 def _export_both(m, block):
     """The export and the csv.writer oracle's text of ``m``, ``block`` bytes per block."""
     got, want = io.StringIO(), io.StringIO()
-    with mock.patch.object(ds, "_EXPORT_BLOCK", block):
+    with mock.patch.object(ds, "_TEXT_BLOCK", block):
         ds.export_canonical_csv(m, got)
     oracle.export_canonical_csv(m, want)
     return got.getvalue(), want.getvalue()
@@ -823,7 +823,7 @@ def export_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(export_matrices(), st.sampled_from([1, 7, 100, 333, ds._EXPORT_BLOCK]))
+@given(export_matrices(), st.sampled_from([1, 7, 100, 333, ds._TEXT_BLOCK]))
 def test_export_matches_csv_writer(m, block):
     m.validate()
     got, want = _export_both(m, block)
@@ -833,5 +833,5 @@ def test_export_matches_csv_writer(m, block):
 @pytest.mark.parametrize("n_users", [0, 3])
 def test_export_of_matrix_without_ratings_is_the_header(n_users, mk_matrix):
     m = mk_matrix(np.full((n_users, 2), np.nan))
-    got, want = _export_both(m, ds._EXPORT_BLOCK)
+    got, want = _export_both(m, ds._TEXT_BLOCK)
     assert got == want == "user_id,item_id,value,timestamp\n"

@@ -191,8 +191,8 @@ def test_fit_matches_exhaustive_partition(mk_matrix, monkeypatch, seed, kernel, 
 
 # ---------------------------------------------------------------- batched kernels
 
-@pytest.mark.parametrize("kernel, chunk", [("csr", "_CHUNK"), ("dense", "_DENSE_CHUNK")])
-def test_assign_all_blocks_match_one_block(monkeypatch, kernel, chunk):
+@pytest.mark.parametrize("kernel", ["csr", "dense"])
+def test_assign_all_blocks_match_one_block(monkeypatch, kernel):
     rng = np.random.default_rng(4)
     dense = np.where(rng.random((40, 6)) < 0.6, rng.uniform(1, 5, (40, 6)), 0.0)
     centroids = rng.uniform(1, 5, (5, 6))
@@ -201,7 +201,7 @@ def test_assign_all_blocks_match_one_block(monkeypatch, kernel, chunk):
     X = sparse.csr_matrix(dense) if kernel == "csr" else dense
     xnorms = (dense**2).sum(axis=1)
     one_labels, one_dists = km._assign_all(X, xnorms, centroids)
-    monkeypatch.setattr(km, chunk, 7)
+    monkeypatch.setattr(km, "_ROW_BLOCK", 7)
     labels, dists = km._assign_all(X, xnorms, centroids)
     assert labels.tobytes() == one_labels.tobytes()
     if kernel == "csr":
@@ -213,6 +213,50 @@ def test_assign_all_blocks_match_one_block(monkeypatch, kernel, chunk):
     expect = ((dense[:, None, :] - centroids[None]) ** 2).sum(axis=2)
     np.testing.assert_array_equal(labels, np.argmin(expect, axis=1))
     np.testing.assert_allclose(dists, expect.min(axis=1), atol=1e-9)
+
+
+def _repair_case():
+    """40 rows that repeat 12 distinct half-point rows, one of them empty.
+
+    With k = 30 the k-means++ init runs out of distinct rows and picks
+    duplicate centers, so every restart starts with empty clusters.
+    """
+    rng = np.random.default_rng(3)
+    distinct = np.where(rng.random((12, 9)) < 0.6, rng.integers(2, 11, (12, 9)) / 2.0, np.nan)
+    distinct[5] = np.nan
+    return matrix_from_dense(distinct[rng.permutation(np.arange(40) % 12)])
+
+
+@pytest.mark.parametrize("kernel, dense_fill", [("csr", np.inf), ("dense", 0.0)])
+def test_fit_repairs_empty_clusters_alike_in_any_blocks(monkeypatch, kernel, dense_fill):
+    m = _repair_case()
+    monkeypatch.setattr(km, "DENSE_FILL", dense_fill)
+    real, emptied = km._repair_empty, []
+
+    def repair(m, labels, dists, centroids):
+        emptied.append(int((np.bincount(labels, minlength=len(centroids)) == 0).sum()))
+        real(m, labels, dists, centroids)
+
+    monkeypatch.setattr(km, "_repair_empty", repair)
+    cfg = km.KMeansConfig(n_clusters=30, restarts=3, max_steps=10, seed=1)
+    fits = {}
+    for block in ([1, 7] if kernel == "csr" else [7]) + [m.n_users + 1]:
+        monkeypatch.setattr(km, "_ROW_BLOCK", block)
+        emptied.clear()
+        fits[block] = km.fit(m, cfg, collect_step_sse=True)
+        assert fits[block].kernel == kernel
+        assert sum(emptied) > 0  # the repair ran
+    one = fits.pop(m.n_users + 1)
+    for model in fits.values():
+        assert model.assignments.tobytes() == one.assignments.tobytes()
+        if kernel == "csr":
+            assert model.centroids.tobytes() == one.centroids.tobytes()
+            assert model.sse == one.sse
+            assert model.step_sse == one.step_sse
+            assert model.restarts == one.restarts
+        else:  # BLAS may split a 7-row product differently from a 40-row one
+            np.testing.assert_allclose(model.centroids, one.centroids, rtol=1e-12, atol=1e-12)
+            assert model.sse == pytest.approx(one.sse, rel=1e-12, abs=1e-12)
 
 
 def test_cluster_means_matches_dense_oracle(mk_matrix):
@@ -237,7 +281,7 @@ def test_kernel_rows_match_csr_toarray(mk_matrix, fill):
     dense[:, -1] = np.nan  # nobody rated the last item
     dense[0, 0] = -0.0  # toarray adds into zeros, so this comes out as 0.0
     m = mk_matrix(dense)
-    rows, kernel = km._kernel_rows(m)
+    rows, kernel = km._kernel_rows(m), km._kernel(m)
     assert kernel == fill
     csr = oracle.csr_matrix(m)
     want = csr.toarray()
@@ -269,7 +313,7 @@ def test_csr_rows_products_match_scipy_csr_matrix(seed):
     centroids = np.round(rng.uniform(-10, 10, (k, d)), 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km, "DENSE_FILL", np.inf)
-        rows, kernel = km._kernel_rows(m)
+        rows, kernel = km._kernel_rows(m), km._kernel(m)
     assert kernel == "csr"
     csr = oracle.csr_matrix(m)
     lo = int(rng.integers(0, n))
@@ -285,7 +329,7 @@ def test_csr_rows_products_match_scipy_csr_matrix(seed):
     # Whole assignments in blocks that start mid-matrix.
     xnorms = km._row_sq_norms(m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_CHUNK", int(rng.integers(1, n + 1)))
+        mp.setattr(km, "_ROW_BLOCK", int(rng.integers(1, n + 1)))
         labels, dists = km._assign_all(rows, xnorms, centroids)
         want_labels, want_dists = km._assign_all(csr, xnorms, centroids)
     assert labels.tobytes() == want_labels.tobytes()
@@ -327,7 +371,7 @@ def test_blocked_passes_match_whole_matrix_passes(block, seed):
         means = km._cluster_means(m, labels, k)
         norms = km._row_sq_norms(m)
         dists = km._assigned_sq_dists(model, m)
-        rows, kernel = km._kernel_rows(m)
+        rows, kernel = km._kernel_rows(m), km._kernel(m)
         table = rv._score_table(m, labels, k)
     want = oracle.cluster_means(m, labels, k)
     assert means.tobytes() == want.tobytes()
@@ -375,6 +419,27 @@ def test_per_rating_passes_take_memory_by_the_block(name):
             tracemalloc.stop()
     # Twice the rows add only the per-row outputs, not per-rating temporaries.
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("kernel, dense_fill", [("csr", np.inf), ("dense", 0.0)])
+def test_assign_all_takes_memory_by_the_block(monkeypatch, kernel, dense_fill):
+    monkeypatch.setattr(km, "DENSE_FILL", dense_fill)
+    k = 50
+    peaks = []
+    for n in (3000, 6000):
+        m = _tall_matrix(n)
+        assert km._kernel(m) == kernel
+        X, xnorms = km._kernel_rows(m), km._row_sq_norms(m)
+        centroids = np.random.default_rng(1).uniform(1, 5, (k, m.n_items))
+        tracemalloc.start()
+        try:
+            km._assign_all(X, xnorms, centroids)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Twice the rows add only the per-row outputs, labels and distances
+    # (16 bytes a row), not a larger distance block.
+    assert peaks[1] - peaks[0] < 16 * 3000 + 16384, peaks
 
 
 # ---------------------------------------------------------------- dense kernel vs CSR oracle
@@ -442,7 +507,7 @@ def test_dense_assign_matches_csr_oracle(seed):
     ])
     centroids[rng.integers(0, len(centroids))] = centroids[0]  # a duplicate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_DENSE_CHUNK", int(rng.choice([7, 64, km._DENSE_CHUNK])))
+        mp.setattr(km, "_ROW_BLOCK", int(rng.choice([7, 64, 256])))
         labels, dists = km._assign_all(dense, xnorms, centroids)
     want_labels, want_dists = km._assign_all(X, xnorms, centroids)
     differ = labels != want_labels
@@ -584,7 +649,7 @@ def unloadable():
 
 if sys.argv[1] == "fallback":
     km._load_sparsetools = unloadable
-km._CHUNK = 100  # distance blocks that start mid-matrix
+km._ROW_BLOCK = 100  # distance blocks that start mid-matrix
 rng = np.random.default_rng(7)
 dense = np.where(rng.random((900, 150)) < 0.05, rng.integers(2, 11, (900, 150)) / 2.0, 0.0)
 dense[-4:] = 0.0
